@@ -7,6 +7,13 @@ them; gamma, weibull, beta and fisher solve their score equations
 numerically (profile Newton for the 1-D cases, damped Newton for the 2-D
 ones) to a gradient norm of 1e-8 or better.
 
+Gamma, weibull and beta fit every row of a (B, n) Monte-Carlo matrix at
+once: each Newton iteration is array code over the rows that have not yet
+converged, and a row that fails or is degenerate is flagged, not raised.
+Their single-sample fit is the same solver on one row.  Fisher still runs a
+scalar damped Newton per row.  Digamma, trigamma and log-gamma come from
+``scipy.special``.
+
 Families are addressed either by id ("normal") or by the d-prefixed call
 name ("dnorm").  Parameter conventions:
 
@@ -39,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _scipy_special
+from scipy.special import gammaln, polygamma, psi
 
 from . import special
 from .errors import CapabilityError, DataError, EstimationError, ParameterError
@@ -65,20 +73,48 @@ __all__ = [
 _LOG_2PI = math.log(2.0 * math.pi)
 _TINY = np.finfo(float).tiny
 
-_log_gamma_vec = np.vectorize(special.log_gamma, otypes=[float])
 _phi_vec = np.vectorize(special.std_normal_cdf, otypes=[float])
 _phi_inv_vec = np.vectorize(special.std_normal_quantile, otypes=[float])
 
 
-def _lgamma(a):
-    """log Gamma for scalars or arrays (scalar path avoids vectorize cost)."""
-    if np.ndim(a) == 0:
-        return special.log_gamma(float(a))
-    return _log_gamma_vec(a)
-
-
 def _lbeta(a, b):
-    return _lgamma(a) + _lgamma(b) - _lgamma(np.asarray(a) + np.asarray(b))
+    return gammaln(a) + gammaln(b) - gammaln(np.asarray(a) + np.asarray(b))
+
+
+def _spread(X: np.ndarray) -> np.ndarray:
+    """Rows whose observations are not all equal."""
+    return X.max(axis=1) > X.min(axis=1)
+
+
+def _profile_newton(a: np.ndarray, rows: np.ndarray, tol: np.ndarray,
+                    score) -> np.ndarray:
+    """Row-wise Newton on a positive 1-D parameter; updates ``a`` in place.
+
+    ``score(rows, a_rows)`` returns the score and its slope at ``a_rows``
+    for those rows.  Each row stops once |score| < tol; a step that would
+    make the parameter non-positive is halved until it does not.  Returns
+    the converged mask: rows still moving after 100 evaluations, or whose
+    step is not finite, did not converge.
+    """
+    done = np.zeros(a.shape[0], dtype=bool)
+    for _ in range(100):
+        cur = a[rows]
+        f, fp = score(rows, cur)
+        conv = np.abs(f) < tol[rows]
+        done[rows[conv]] = True
+        step = f / fp
+        live = ~conv & np.isfinite(step)
+        rows, cur, step = rows[live], cur[live], step[live]
+        if rows.size == 0:
+            break
+        new = cur - step
+        bad = new <= 0.0
+        while np.any(bad):
+            step[bad] *= 0.5
+            new[bad] = cur[bad] - step[bad]
+            bad = new <= 0.0
+        a[rows] = new
+    return done
 
 
 @dataclass(frozen=True)
@@ -163,6 +199,20 @@ class _Family:
     def mean_loglik_rows(self, X: np.ndarray, P: np.ndarray) -> np.ndarray:
         """Mean log-density of each row of X under the matching row of P."""
         return self.log_density(self._cols(P), X).mean(axis=1)
+
+
+class _RowFitted(_Family):
+    """A family whose single-sample MLE is its batched fit on one row."""
+
+    def fit(self, x):
+        x = np.asarray(x, dtype=float)
+        P, ok = self.fit_rows(x[None, :])
+        if not ok[0]:
+            if not _spread(x[None, :])[0]:
+                raise EstimationError(
+                    f"{self.family_id} MLE degenerate: data have no spread")
+            raise EstimationError(f"{self.family_id} MLE did not converge")
+        return P[0]
 
 
 def _positive(u: np.ndarray) -> np.ndarray:
@@ -361,7 +411,7 @@ class _Exponential(_Family):
         return lam[:, None], ok
 
 
-class _Gamma(_Family):
+class _Gamma(_RowFitted):
     family_id = "gamma"
     call = "dgamma"
     param_names = ("Shape", "Rate")
@@ -381,7 +431,7 @@ class _Gamma(_Family):
         pos = x > 0
         with np.errstate(divide="ignore", invalid="ignore"):
             lx = np.log(np.where(pos, x, 1.0))
-            out = a * np.log(np.asarray(rate)) - _lgamma(a) + (a - 1.0) * lx - rate * x
+            out = a * np.log(np.asarray(rate)) - gammaln(a) + (a - 1.0) * lx - rate * x
         return np.where(pos, out, -np.inf)
 
     def cdf(self, params, x):
@@ -397,31 +447,26 @@ class _Gamma(_Family):
         a, rate = float(params[0]), float(params[1])
         return rng.standard_gamma(a, size) / rate
 
-    def fit(self, x):
+    def fit_rows(self, X):
         # Profile likelihood: rate = shape / mean(x); Newton in the shape on
         #   log(shape) - psi(shape) = log(mean x) - mean(log x)
-        mean = float(np.mean(x))
-        s = math.log(mean) - float(np.mean(np.log(x)))
-        if not s > 0.0:
-            raise EstimationError("gamma MLE degenerate: data have no spread")
-        a = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
-        for _ in range(100):
-            f = math.log(a) - special.digamma(a) - s
-            if abs(f) < 1e-13:
-                break
-            fp = 1.0 / a - special._trigamma(a)  # negative: f is decreasing
-            step = f / fp
-            new = a - step
-            while new <= 0.0:
-                step *= 0.5
-                new = a - step
-            a = new
-        else:
-            raise EstimationError(f"gamma MLE did not converge (last residual {f:.2e})")
-        return np.array([a, a / mean])
+        mean = X.mean(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.log(mean) - np.log(X).mean(axis=1)
+            a = (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
+        rows = np.flatnonzero(_spread(X) & (s > 0.0) & np.isfinite(s))
+
+        def score(rows, a_):
+            # the slope 1/a - psi'(a) is negative: the residual decreases
+            return (np.log(a_) - psi(a_) - s[rows],
+                    1.0 / a_ - polygamma(1, a_))
+
+        ok = _profile_newton(a, rows, np.full(a.shape, 1e-13), score)
+        a[~ok] = np.nan
+        return np.column_stack([a, a / mean]), ok
 
 
-class _Weibull(_Family):
+class _Weibull(_RowFitted):
     family_id = "weibull"
     call = "dweibull"
     param_names = ("Shape", "Scale")
@@ -460,41 +505,34 @@ class _Weibull(_Family):
     def sample(self, params, size, rng):
         return self.quantile(params, _positive(rng.random(size)))
 
-    def fit(self, x):
+    def fit_rows(self, X):
         # Profile on the shape: scale(a) = (mean x^a)^(1/a); the profile score
         #   g(a) = sum(x^a log x)/sum(x^a) - 1/a - mean(log x)
         # is increasing in a. Weights are normalized by max(log x) to avoid
         # overflow for large trial shapes.
-        u = np.log(np.asarray(x, dtype=float))
-        ubar = float(u.mean())
-        spread = float(u.std())
-        if spread <= 0.0:
-            raise EstimationError("weibull MLE degenerate: data have no spread")
-        umax = float(u.max())
-        a = math.pi / math.sqrt(6.0) / spread  # Gumbel moment initializer
+        with np.errstate(divide="ignore", invalid="ignore"):
+            U = np.log(X)
+            ubar = U.mean(axis=1)
+            spread = U.std(axis=1)
+            a = math.pi / math.sqrt(6.0) / spread  # Gumbel moment initializer
+        umax = U.max(axis=1)
+        rows = np.flatnonzero(_spread(X) & (spread > 0.0) & np.isfinite(spread))
 
-        def score_and_slope(a_try: float) -> tuple[float, float]:
-            w = np.exp(a_try * (u - umax))
-            sw = float(w.sum())
-            r = float((w * u).sum()) / sw
-            var_w = float((w * (u - r) ** 2).sum()) / sw
-            g = r - 1.0 / a_try - ubar
-            return g, var_w + 1.0 / (a_try * a_try)
+        def score(rows, a_):
+            Ur = U[rows]
+            W = np.exp(a_[:, None] * (Ur - umax[rows, None]))
+            sw = W.sum(axis=1)
+            r = (W * Ur).sum(axis=1) / sw
+            var_w = (W * (Ur - r[:, None]) ** 2).sum(axis=1) / sw
+            return r - 1.0 / a_ - ubar[rows], var_w + 1.0 / (a_ * a_)
 
-        for _ in range(100):
-            g, gp = score_and_slope(a)
-            if abs(g) < 1e-13 * max(1.0, abs(ubar)):
-                break
-            step = g / gp
-            new = a - step
-            while new <= 0.0:
-                step *= 0.5
-                new = a - step
-            a = new
-        else:
-            raise EstimationError(f"weibull MLE did not converge (last residual {g:.2e})")
-        b = math.exp(umax + math.log(float(np.mean(np.exp(a * (u - umax))))) / a)
-        return np.array([a, b])
+        tol = 1e-13 * np.maximum(1.0, np.abs(ubar))
+        ok = _profile_newton(a, rows, tol, score)
+        a[~ok] = np.nan
+        with np.errstate(invalid="ignore"):
+            b = np.exp(umax + np.log(np.mean(np.exp(a[:, None] * (U - umax[:, None])),
+                                              axis=1)) / a)
+        return np.column_stack([a, b]), ok
 
 
 class _Pareto(_Family):
@@ -610,11 +648,11 @@ class _Fisher(_Family):
         mxd = float(np.mean(x / denom))
         mid = float(np.mean(1.0 / denom))
         half_sum = 0.5 * (d1 + d2)
-        psi_sum = special.digamma(half_sum)
+        psi_sum = psi(half_sum)
         s1 = 0.5 * (math.log(d1) + 1.0 + mlx) - 0.5 * mld - half_sum * mxd \
-            - 0.5 * (special.digamma(0.5 * d1) - psi_sum)
+            - 0.5 * (psi(0.5 * d1) - psi_sum)
         s2 = 0.5 * (math.log(d2) + 1.0) - 0.5 * mld - half_sum * mid \
-            - 0.5 * (special.digamma(0.5 * d2) - psi_sum)
+            - 0.5 * (psi(0.5 * d2) - psi_sum)
         return np.array([s1, s2])
 
     def fit(self, x):
@@ -717,7 +755,7 @@ class _Laplace(_Family):
         return np.column_stack([mu, sc]), sc > 0
 
 
-class _Beta(_Family):
+class _Beta(_RowFitted):
     family_id = "beta"
     call = "dbeta"
     param_names = ("Shape1", "Shape2")
@@ -758,49 +796,63 @@ class _Beta(_Family):
         a, b = float(params[0]), float(params[1])
         return rng.beta(a, b, size)
 
-    def fit(self, x):
-        x = np.asarray(x, dtype=float)
-        mlx = float(np.mean(np.log(x)))
-        ml1x = float(np.mean(np.log1p(-x)))
-        m = float(np.mean(x))
-        v = float(np.var(x))
-        if v <= 0.0:
-            raise EstimationError("beta MLE degenerate: data have no spread")
-        common = m * (1.0 - m) / v - 1.0
-        if common <= 0.0:
-            a, b = 1.0, 1.0
-        else:
-            a, b = m * common, (1.0 - m) * common
+    def fit_rows(self, X):
+        # Damped Newton on the score
+        #   (psi(a+b) - psi(a) + mean log x, psi(a+b) - psi(b) + mean log(1-x))
+        # from the method-of-moments start; a step is halved until it stays
+        # in a, b > 0 and lowers the score norm.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mlx = np.log(X).mean(axis=1)
+            ml1x = np.log1p(-X).mean(axis=1)
+            m = X.mean(axis=1)
+            v = X.var(axis=1)
+            common = m * (1.0 - m) / v - 1.0
+        moments = common > 0.0
+        a = np.where(moments, m * common, 1.0)
+        b = np.where(moments, (1.0 - m) * common, 1.0)
+        ok = np.zeros(X.shape[0], dtype=bool)
+        rows = np.flatnonzero(_spread(X) & (v > 0.0)
+                              & np.isfinite(mlx) & np.isfinite(ml1x))
 
-        def score(a_, b_):
-            psi_ab = special.digamma(a_ + b_)
-            return np.array([psi_ab - special.digamma(a_) + mlx,
-                             psi_ab - special.digamma(b_) + ml1x])
+        def score(rows, a_, b_):
+            psi_ab = psi(a_ + b_)
+            s1, s2 = psi_ab - psi(a_) + mlx[rows], psi_ab - psi(b_) + ml1x[rows]
+            return s1, s2, np.sqrt(s1 * s1 + s2 * s2)
 
-        s = score(a, b)
-        for _ in range(200):
-            if float(np.linalg.norm(s)) <= 1e-10:
-                break
-            tg_ab = special._trigamma(a + b)
-            H = np.array([[tg_ab - special._trigamma(a), tg_ab],
-                          [tg_ab, tg_ab - special._trigamma(b)]])
-            step = np.linalg.solve(H, -s)
-            norm0 = float(np.linalg.norm(s))
-            lam = 1.0
-            for _damp in range(40):
-                a_try, b_try = a + lam * step[0], b + lam * step[1]
-                if a_try > 0 and b_try > 0:
-                    s_try = score(a_try, b_try)
-                    if float(np.linalg.norm(s_try)) < norm0:
-                        a, b, s = a_try, b_try, s_try
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            s1, s2, norm = score(rows, a[rows], b[rows])
+            for _ in range(200):
+                conv = norm <= 1e-10
+                ok[rows[conv]] = True
+                live = ~conv
+                rows, s1, s2, norm = rows[live], s1[live], s2[live], norm[live]
+                if rows.size == 0:
+                    break
+                ra, rb = a[rows], b[rows]
+                tg_ab = polygamma(1, ra + rb)
+                h11, h22 = tg_ab - polygamma(1, ra), tg_ab - polygamma(1, rb)
+                det = h11 * h22 - tg_ab * tg_ab
+                d1 = (tg_ab * s2 - h22 * s1) / det
+                d2 = (tg_ab * s1 - h11 * s2) / det
+                pend = np.arange(rows.size)  # rows whose step is not yet taken
+                lam = 1.0
+                for _damp in range(40):
+                    ta, tb = ra[pend] + lam * d1[pend], rb[pend] + lam * d2[pend]
+                    t1, t2, tn = score(rows[pend], ta, tb)
+                    take = (ta > 0.0) & (tb > 0.0) & (tn < norm[pend])
+                    hit = pend[take]
+                    a[rows[hit]], b[rows[hit]] = ta[take], tb[take]
+                    s1[hit], s2[hit], norm[hit] = t1[take], t2[take], tn[take]
+                    pend = pend[~take]
+                    if pend.size == 0:
                         break
-                lam *= 0.5
-            else:
-                raise EstimationError(f"beta MLE stalled (gradient norm {norm0:.2e})")
-        else:
-            raise EstimationError(
-                f"beta MLE did not converge (gradient norm {float(np.linalg.norm(s)):.2e})")
-        return np.array([a, b])
+                    lam *= 0.5
+                moved = np.ones(rows.size, dtype=bool)
+                moved[pend] = False  # stalled: no step lowered the norm
+                rows, s1, s2, norm = rows[moved], s1[moved], s2[moved], norm[moved]
+        P = np.column_stack([a, b])
+        P[~ok] = np.nan
+        return P, ok
 
 
 def _require_all_positive(family_id: str, x: np.ndarray) -> None:

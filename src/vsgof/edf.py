@@ -21,6 +21,7 @@ import numpy as np
 from . import distributions as dist
 from .errors import DataError, ParameterError
 from .sample import Sample, as_sample
+from .vstest import _is_count
 
 __all__ = [
     "EdfTestReport",
@@ -127,9 +128,9 @@ def edf_mc_p_value(x: "Sample | np.ndarray", family: str, params,
                    threads: int = 1) -> float:
     """Monte-Carlo p-value under the simple null: the share of B null
     replicates whose statistic reaches the observed one (ties count as
-    extreme, so p is never 0)."""
+    extreme).  p is 0 when the observed statistic exceeds all B replicates."""
     key, kernel = _resolve_test(test_id)
-    if not (isinstance(B, (int, np.integer)) and B >= 1):
+    if not _is_count(B):
         raise ParameterError(f"B must be a positive integer, got {B!r}")
     if seed is None:
         raise ParameterError(

@@ -49,7 +49,7 @@ import numpy as np
 from . import distributions as dist
 from .edf import edf_mc_p_value
 from .errors import DataError, ParameterError, VsgofError
-from .vstest import TestOptions, vs_test
+from .vstest import TestOptions, _is_count, vs_test
 
 __all__ = [
     "PowerScenario",
@@ -103,8 +103,8 @@ class PowerScenario:
             raise ParameterError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.replicates < 1:
             raise ParameterError("replicates must be >= 1")
-        if self.B < 1:
-            raise ParameterError("B must be >= 1")
+        if not _is_count(self.B):
+            raise ParameterError(f"B must be a positive integer, got {self.B!r}")
         if not self.n_values:
             raise ParameterError("scenario lists no sample sizes")
         n_min = 3 if "vs" in self.tests else 2

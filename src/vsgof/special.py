@@ -1,26 +1,18 @@
-"""Self-contained scalar special functions.
+"""The standard normal CDF and its inverse, as scalar functions.
 
-This module deliberately avoids external numerical libraries: everything the
-bias correction, the asymptotic p-value, and the likelihood machinery need is
-implemented here from classical algorithms and verified against
-high-precision oracles in the test suite.
+These two are all that is left of a hand-written special-function module:
+digamma, trigamma and log-gamma now come from ``scipy.special``.  Phi and
+its inverse are verified against high-precision oracles in the test suite.
 
 Algorithms
 ----------
-digamma / trigamma
-    Upward recurrence to shift the argument to ``x >= 6``, then the de
-    Moivre asymptotic series in inverse even powers.
 erf / erfc
     Power series around zero for small arguments; for the tail, the
     Legendre continued fraction evaluated with the modified Lentz scheme.
-log_gamma
-    Lanczos approximation (g = 7, 9 coefficients), with one recurrence step
-    for arguments below 1/2.
-harmonic
-    Compensated summation (``math.fsum``), exact to the correctly rounded
-    float.
+std_normal_quantile
+    Acklam's rational approximation and one Halley refinement step.
 
-All functions are pure, accept/return Python floats, and raise
+Both functions are pure, accept/return Python floats, and raise
 ``ValueError`` on domain violations.
 """
 
@@ -29,93 +21,12 @@ from __future__ import annotations
 import math
 
 __all__ = [
-    "digamma",
-    "harmonic",
     "std_normal_cdf",
     "std_normal_quantile",
-    "log_gamma",
-    "log_beta",
 ]
 
 _SQRT_PI = 1.7724538509055160273
 _SQRT_2 = 1.4142135623730950488
-_LOG_SQRT_2PI = 0.91893853320467274178
-_SHIFT = 6.0  # argument threshold for the psi asymptotic series
-
-# psi(x) ~ ln x - 1/(2x) - sum B_{2k}/(2k x^{2k}); coefficients of x^{-2k}
-_PSI_TAIL = (
-    -1.0 / 12.0,
-    1.0 / 120.0,
-    -1.0 / 252.0,
-    1.0 / 240.0,
-    -1.0 / 132.0,
-    691.0 / 32760.0,
-    -1.0 / 12.0,
-)
-
-# psi'(x) ~ 1/x + 1/(2x^2) + sum B_{2k} x^{-(2k+1)}; coefficients of x^{-(2k+1)}
-_TRIGAMMA_TAIL = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-    7.0 / 6.0,
-)
-
-
-def digamma(x: float) -> float:
-    """Digamma function psi(x) for real x > 0.
-
-    Accuracy is better than 1e-12 relative across [1e-3, 1e6].
-    """
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"digamma requires x > 0, got {x!r}")
-    acc = 0.0
-    while x < _SHIFT:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    tail = 0.0
-    power = inv2
-    for coeff in _PSI_TAIL:
-        tail += coeff * power
-        power *= inv2
-    return acc + math.log(x) - 0.5 / x + tail
-
-
-def _trigamma(x: float) -> float:
-    """Trigamma function psi'(x) for x > 0 (internal; used by MLE Newton steps)."""
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"trigamma requires x > 0, got {x!r}")
-    acc = 0.0
-    while x < _SHIFT:
-        acc += 1.0 / (x * x)
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    tail = 1.0 / x + 0.5 * inv2
-    power = inv2 * inv
-    for coeff in _TRIGAMMA_TAIL:
-        tail += coeff * power
-        power *= inv2
-    return acc + tail
-
-
-def harmonic(m: int) -> float:
-    """Harmonic number H_m = 1 + 1/2 + ... + 1/m, with H_0 = 0.
-
-    Uses compensated summation, so the result is the correctly rounded sum.
-    """
-    if m != int(m) or m < 0:
-        raise ValueError(f"harmonic requires an integer m >= 0, got {m!r}")
-    m = int(m)
-    if m == 0:
-        return 0.0
-    return math.fsum(1.0 / j for j in range(1, m + 1))
 
 
 def _erf_series(x: float) -> float:
@@ -254,29 +165,3 @@ def std_normal_quantile(p: float) -> float:
         u = err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
         x -= u / (1.0 + 0.5 * x * u)
     return x
-
-
-_LANCZOS_G = 7.0
-_LANCZOS = (0.99999999999980993, 676.5203681218851, -1259.1392167224028,
-            771.32342877765313, -176.61502916214059, 12.507343278686905,
-            -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7)
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for real x > 0."""
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x!r}")
-    if x < 0.5:
-        # one recurrence step: log G(x) = log G(x + 1) - log x
-        return log_gamma(x + 1.0) - math.log(x)
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (x - 1.0 + i)
-    t = x + _LANCZOS_G - 0.5
-    return _LOG_SQRT_2PI + (x - 0.5) * math.log(t) - t + math.log(acc)
-
-
-def log_beta(a: float, b: float) -> float:
-    """log B(a, b) = log G(a) + log G(b) - log G(a + b), for a, b > 0."""
-    return log_gamma(a) + log_gamma(b) - log_gamma(a + b)

@@ -37,13 +37,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import psi
 
 from . import distributions as dist
 from .errors import (ConstraintError, DataError, EstimationError,
                      ParameterError, TiesError)
 from .sample import Sample, as_sample
 from .spacing import WindowScan, batch_window_values, max_valid_window
-from .special import digamma, std_normal_cdf
+from .special import std_normal_cdf
 
 __all__ = [
     "TestOptions",
@@ -52,6 +53,7 @@ __all__ = [
     "empirical_null_loglik",
     "statistic_at",
     "select_window",
+    "harmonic_prefix",
     "bias_b",
     "asymptotic_p_value",
     "monte_carlo_p_value",
@@ -216,6 +218,25 @@ def select_window(x: "Sample | np.ndarray", family: str, params, *,
     return int(ms[j]), scan, tuple(warnings)
 
 
+def harmonic_prefix(top: int) -> list[float]:
+    """Harmonic numbers [H_0, H_1, ..., H_top], with H_0 = 0.
+
+    Built by compensated (Kahan) accumulation, so each entry is within an
+    ulp or so of the exact sum.
+    """
+    if top != int(top) or top < 0:
+        raise ValueError(f"harmonic_prefix needs an integer >= 0, got {top!r}")
+    H = [0.0] * (int(top) + 1)
+    acc = comp = 0.0
+    for k in range(1, len(H)):
+        term = 1.0 / k - comp
+        new = acc + term
+        comp = (new - acc) - term
+        acc = new
+        H[k] = acc
+    return H
+
+
 def bias_b(m: int, n: int) -> float:
     """Centering constant of the statistic's normal limit.
 
@@ -228,18 +249,10 @@ def bias_b(m: int, n: int) -> float:
     m, n = int(m), int(n)
     if m < 1 or 2 * m >= n:
         raise ParameterError(f"bias_b requires 1 <= m < n/2, got m={m}, n={n}")
-    # harmonic prefix table H_0..H_{2m-1} by compensated accumulation
-    H = [0.0] * (2 * m)
-    acc = comp = 0.0
-    for k in range(1, 2 * m):
-        term = 1.0 / k - comp
-        new = acc + term
-        comp = (new - acc) - term
-        acc = new
-        H[k] = acc
+    H = harmonic_prefix(2 * m - 1)
     tail = math.fsum(H[i + m - 2] for i in range(1, m + 1))
-    return (math.log(2 * m) - math.log(n) - digamma(2.0 * m) + digamma(n + 1.0)
-            + (2.0 * m / n) * H[2 * m - 1] - (2.0 / n) * tail)
+    return float(math.log(2 * m) - math.log(n) - psi(2.0 * m) + psi(n + 1.0)
+                 + (2.0 * m / n) * H[2 * m - 1] - (2.0 / n) * tail)
 
 
 def asymptotic_p_value(statistic: float, m: int, n: int) -> float:
@@ -350,6 +363,12 @@ def monte_carlo_p_value(observed: float, family: str, params, n: int, *,
     return p, ignored
 
 
+def _is_count(B) -> bool:
+    """B is a positive integer (a bool is an int, but not a count)."""
+    return (isinstance(B, (int, np.integer)) and not isinstance(B, bool)
+            and B >= 1)
+
+
 def _resolve_p_method(opts: TestOptions, n: int) -> str:
     if opts.extend:
         if opts.simulate_p_value is False:
@@ -384,7 +403,7 @@ def vs_test(x: "Sample | np.ndarray", family: str,
         raise DataError(f"the test needs at least 3 observations, got {s.n}")
     fam = dist.resolve_family(family)
 
-    if not (isinstance(opts.B, (int, np.integer)) and opts.B >= 1):
+    if not _is_count(opts.B):
         raise ParameterError(f"B must be a positive integer, got {opts.B!r}")
     if opts.delta is not None and not float(opts.delta) < 1.0 / 3.0:
         raise ParameterError(f"delta must be < 1/3, got {opts.delta}")

@@ -312,10 +312,11 @@ def test_mle_is_a_stationary_point(fid):
             assert score <= base + 1e-9
 
 
-@pytest.mark.parametrize("fid", ["uniform", "normal", "pareto"])
+@pytest.mark.parametrize("fid", ["uniform", "normal", "pareto", "gamma", "weibull", "beta"])
 def test_mle_degenerate_data(fid):
+    value = 0.3 if fid == "beta" else 2.0
     with pytest.raises(EstimationError):
-        fit_mle(fid, np.array([2.0, 2.0, 2.0, 2.0]))
+        fit_mle(fid, np.full(4, value))
 
 
 @pytest.mark.parametrize(
@@ -337,7 +338,7 @@ def test_fit_rejects_out_of_support_data(fid, bad):
 # row-wise batch helpers (Monte-Carlo internals)
 
 
-@pytest.mark.parametrize("fid", ["normal", "exponential", "pareto", "weibull"])
+@pytest.mark.parametrize("fid", ["normal", "exponential", "pareto", "weibull", "gamma", "beta"])
 def test_fit_rows_matches_per_row_fit(fid):
     params = SCIPY_ORACLE[fid][0]
     rng = np.random.default_rng(103)
@@ -347,6 +348,41 @@ def test_fit_rows_matches_per_row_fit(fid):
     for i in range(X.shape[0]):
         single = fit_mle(fid, X[i]).params
         assert np.allclose(P[i], single, rtol=1e-9, atol=1e-9)
+
+
+def scipy_mle(fid, x):
+    """scipy.stats maximum-likelihood parameters, in vsgof order."""
+    if fid == "gamma":
+        a, _, scale = st.gamma.fit(x, floc=0)
+        return a, 1.0 / scale
+    if fid == "weibull":
+        c, _, scale = st.weibull_min.fit(x, floc=0)
+        return c, scale
+    a, b, _, _ = st.beta.fit(x, floc=0, fscale=1)
+    return a, b
+
+
+@pytest.mark.parametrize("n", [20, 200])
+@pytest.mark.parametrize("fid", ["gamma", "weibull", "beta"])
+def test_batched_fit_reaches_scipy_mle(fid, n):
+    # Every row of the batch reaches scipy's maximum; a constant row fails
+    # on its own and leaves the other rows bit for bit as they were.
+    params = SCIPY_ORACLE[fid][0]
+    rng = np.random.default_rng(105)
+    X = np.stack([sample(fid, params, n, rng) for _ in range(40)])
+    P, ok = fit_rows(fid, X)
+    assert ok.all()
+    for i in range(X.shape[0]):
+        ours = float(np.mean(log_density(fid, P[i], X[i])))
+        ref = float(np.mean(log_density(fid, scipy_mle(fid, X[i]), X[i])))
+        assert ours >= ref - 1e-9 * abs(ref)
+
+    # 0.123 repeated: rounding leaves the moment spread slightly above zero
+    with_constant = np.vstack([X[:17], np.full((1, n), 0.123), X[17:]])
+    P2, ok2 = fit_rows(fid, with_constant)
+    assert not ok2[17]
+    assert ok2[:17].all() and ok2[18:].all()
+    np.testing.assert_array_equal(np.delete(P2, 17, axis=0), P)
 
 
 def test_mean_loglik_rows_matches_log_density():

@@ -144,8 +144,11 @@ def test_edf_mc_p_value_validation():
     x = np.random.default_rng(47).normal(size=20)
     with pytest.raises(ParameterError, match="seed"):
         edf_mc_p_value(x, "normal", (0.0, 1.0), "ks", B=100)
-    with pytest.raises(ParameterError, match="B must be"):
-        edf_mc_p_value(x, "normal", (0.0, 1.0), "ks", B=0, seed=1)
+    for bad_B in (0, True):
+        with pytest.raises(ParameterError, match="B must be"):
+            edf_mc_p_value(x, "normal", (0.0, 1.0), "ks", B=bad_B, seed=1)
+        with pytest.raises(ParameterError, match="B must be"):
+            edf_test(x, "normal", (0.0, 1.0), "ks", B=bad_B, seed=1)
     with pytest.raises(ParameterError, match="unknown EDF test"):
         edf_mc_p_value(x, "normal", (0.0, 1.0), "watson", B=100, seed=1)
 

@@ -158,6 +158,7 @@ def test_edf_tests_need_simple_null():
         {"simulate": "false", "extend": True},
         {"name": ""},
         {"null_family": "dcauchy"},
+        {"B": True},  # a bool is an int, but not a replicate count
     ],
 )
 def test_scenario_validation_rejects(over):

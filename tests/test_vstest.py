@@ -214,7 +214,7 @@ def bias_oracle(m, n):
 
 
 def test_bias_frozen_value():
-    assert bias_b(1, 10) == pytest.approx(0.5195303415342865, abs=1e-13)
+    assert bias_b(1, 10) == pytest.approx(0.5195303415341537, abs=1e-13)
 
 
 def test_bias_matches_oracle():
@@ -398,8 +398,11 @@ def test_option_validation():
     x = np.random.default_rng(32).normal(size=20)
     with pytest.raises(ParameterError, match="not both"):
         vs_test(x, "normal", TestOptions(seed=1), seed=2)
-    with pytest.raises(ParameterError, match="B must be"):
-        vs_test(x, "normal", B=0, seed=1)
+    for bad_B in (0, True):
+        with pytest.raises(ParameterError, match="B must be"):
+            vs_test(x, "normal", B=bad_B, seed=1)
+        with pytest.raises(ParameterError, match="B must be"):
+            vs_test(x, "normal", TestOptions(B=bad_B, seed=1))
     with pytest.raises(ParameterError, match="delta"):
         vs_test(x, "normal", delta=0.4, seed=1)
     with pytest.raises(DataError):
