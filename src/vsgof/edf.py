@@ -6,22 +6,21 @@ p-values under the simple null.  These are the reference tests the power
 harness compares the spacing-based test against; composite (estimated
 parameter) variants are deliberately not provided.
 
-Monte-Carlo replication follows the same seeded-substream contract as
-``vstest``: fixed-size chunks spawned from the seed, so p-values are
-bitwise identical for any thread count.
+Monte-Carlo replication follows the seeded chunk contract of
+``vsgof._mc``, so p-values are bitwise identical for any thread count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import distributions as dist
+from ._mc import check_count, seeded_map
 from .errors import DataError, ParameterError
 from .sample import Sample, as_sample
-from .vstest import _is_count
+from .vstest import empirical_null_loglik
 
 __all__ = [
     "EdfTestReport",
@@ -32,7 +31,6 @@ __all__ = [
     "edf_test",
 ]
 
-_CHUNK = 256  # shared determinism contract with the vstest MC engine
 _LOG_CLAMP = 1e-15  # keep AD logarithms finite at the PIT boundaries
 
 
@@ -97,6 +95,7 @@ def _observed(x, family, params, kernel):
             "the probability integral transform is degenerate (every value "
             "maps to 0 or 1); the fixed null puts no mass where the data lie"
         )
+    empirical_null_loglik(s, fam.family_id, p)  # DataError outside support
     return float(kernel(u)[0]), s, fam, p
 
 
@@ -128,33 +127,10 @@ def edf_mc_p_value(x: "Sample | np.ndarray", family: str, params,
                    threads: int = 1) -> float:
     """Monte-Carlo p-value under the simple null: the share of B null
     replicates whose statistic reaches the observed one (ties count as
-    extreme).  p is 0 when the observed statistic exceeds all B replicates."""
-    key, kernel = _resolve_test(test_id)
-    if not _is_count(B):
-        raise ParameterError(f"B must be a positive integer, got {B!r}")
-    if seed is None:
-        raise ParameterError(
-            "Monte-Carlo p-values need a seed for reproducibility; "
-            "none was given")
-    observed, s, fam, p = _observed(x, family, params, kernel)
-
-    sizes = [_CHUNK] * (int(B) // _CHUNK)
-    if int(B) % _CHUNK:
-        sizes.append(int(B) % _CHUNK)
-    children = np.random.SeedSequence(int(seed)).spawn(len(sizes))
-
-    def run(task):
-        size, child = task
-        return _null_stat_chunk(fam, p, s.n, size, kernel, child)
-
-    tasks = list(zip(sizes, children))
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            stats = list(pool.map(run, tasks))
-    else:
-        stats = [run(t) for t in tasks]
-    null_stats = np.concatenate(stats)
-    return float((null_stats >= observed).sum() / int(B))
+    extreme).  p is 0 when the observed statistic exceeds all B replicates.
+    Observations outside the null support raise DataError."""
+    return edf_test(x, family, params, test_id, B=B, seed=seed,
+                    threads=threads).p_value
 
 
 def edf_test(x: "Sample | np.ndarray", family: str, params, test_id: str, *,
@@ -162,9 +138,14 @@ def edf_test(x: "Sample | np.ndarray", family: str, params, test_id: str, *,
              threads: int = 1) -> EdfTestReport:
     """Run one EDF test of a fully specified null against the sample."""
     key, kernel = _resolve_test(test_id)
+    B = check_count(B, "B")
     observed, s, fam, p = _observed(x, family, params, kernel)
-    p_value = edf_mc_p_value(s, fam.family_id, p, key, B=B, seed=seed,
-                             threads=threads)
+
+    def run(size, child):
+        return _null_stat_chunk(fam, p, s.n, size, kernel, child)
+
+    chunks, = seeded_map([(seed, run)], B, threads=threads)
+    p_value = float((np.concatenate(chunks) >= observed).sum() / B)
     return EdfTestReport(family_id=fam.family_id, n=s.n, test_id=key,
-                         statistic=observed, p_value=p_value, B=int(B),
+                         statistic=observed, p_value=p_value, B=B,
                          seed=int(seed))

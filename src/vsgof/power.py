@@ -31,25 +31,27 @@ tests, whose p-values are always simulated.  EDF tests need a simple
 null, so ``null_params`` is required whenever ks/cvm/ad appear in
 ``tests``.
 
-Reproducibility: every (n, test) cell owns a seed-sequence branch and is
-evaluated in fixed chunks of replicates, each replicate drawing its inner
-Monte-Carlo seed from the chunk stream right after its sample; results
-are therefore bitwise identical for any ``threads`` value.
+Reproducibility: every (n, test) cell owns a branch of the scenario's
+seed sequence and runs in the seeded chunks of ``vsgof._mc`` (50
+replicates each), each replicate drawing its inner Monte-Carlo seed from
+the chunk stream right after its sample; results are therefore bitwise
+identical for any ``threads`` value.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from io import StringIO
 
 import numpy as np
 
 from . import distributions as dist
+from ._mc import CELL_CHUNK, check_count, check_seed, seeded_map
 from .edf import edf_mc_p_value
 from .errors import DataError, ParameterError, VsgofError
-from .vstest import TestOptions, _is_count, vs_test
+from .vstest import TestOptions, vs_test
 
 __all__ = [
     "PowerScenario",
@@ -59,7 +61,6 @@ __all__ = [
     "run_power_study",
 ]
 
-_OUTER_CHUNK = 50  # replicates per work unit; part of the determinism contract
 _TEST_IDS = ("vs", "ks", "cvm", "ad")
 
 
@@ -101,14 +102,14 @@ class PowerScenario:
                 "set null_params")
         if not 0.0 < self.alpha < 1.0:
             raise ParameterError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.replicates < 1:
-            raise ParameterError("replicates must be >= 1")
-        if not _is_count(self.B):
-            raise ParameterError(f"B must be a positive integer, got {self.B!r}")
+        check_count(self.replicates, "replicates")
+        check_count(self.B, "B")
+        check_seed(self.seed)
         if not self.n_values:
             raise ParameterError("scenario lists no sample sizes")
         n_min = 3 if "vs" in self.tests else 2
         for n in self.n_values:
+            check_count(n, "sample size")
             if n < n_min:
                 raise ParameterError(
                     f"sample size {n} is too small (minimum {n_min} for the "
@@ -306,40 +307,19 @@ def _cell_chunk(scn: PowerScenario, n: int, test: str, count: int,
 def run_power_study(scenario: PowerScenario, *, threads: int = 1) -> PowerTable:
     """Estimate rejection rates for every (n, test) cell of the scenario.
 
-    ``threads`` distributes fixed replicate chunks over a thread pool; the
-    table is bitwise identical for any value.
+    ``threads`` distributes the chunks of every cell over one thread pool;
+    the table is bitwise identical for any value.
     """
     cells = [(n, t) for n in scenario.n_values for t in scenario.tests]
-    root = np.random.SeedSequence(scenario.seed)
-    cell_seqs = root.spawn(len(cells))
-
-    tasks = []  # (cell_index, chunk_size, seed_seq)
-    for idx, seq in enumerate(cell_seqs):
-        left = scenario.replicates
-        sizes = [_OUTER_CHUNK] * (left // _OUTER_CHUNK)
-        if left % _OUTER_CHUNK:
-            sizes.append(left % _OUTER_CHUNK)
-        for size, child in zip(sizes, seq.spawn(len(sizes))):
-            tasks.append((idx, size, child))
-
-    def run(task):
-        idx, size, child = task
-        n, test = cells[idx]
-        return _cell_chunk(scenario, n, test, size, child)
-
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            outcomes = list(pool.map(run, tasks))
-    else:
-        outcomes = [run(t) for t in tasks]
-
-    rej = [0] * len(cells)
-    err = [0] * len(cells)
-    for (idx, _, _), (r, e) in zip(tasks, outcomes):
-        rej[idx] += r
-        err[idx] += e
+    cell_seqs = np.random.SeedSequence(scenario.seed).spawn(len(cells))
+    jobs = [(seq, partial(_cell_chunk, scenario, n, t))
+            for seq, (n, t) in zip(cell_seqs, cells)]
+    outcomes = seeded_map(jobs, scenario.replicates, threads=threads,
+                          chunk=CELL_CHUNK)
     rows = tuple(
-        PowerRow(scenario=scenario.name, n=n, test=t, rejections=rej[i],
-                 errors=err[i], replicates=scenario.replicates)
-        for i, (n, t) in enumerate(cells))
+        PowerRow(scenario=scenario.name, n=n, test=t,
+                 rejections=sum(r for r, _ in chunks),
+                 errors=sum(e for _, e in chunks),
+                 replicates=scenario.replicates)
+        for (n, t), chunks in zip(cells, outcomes))
     return PowerTable(scenario=scenario, rows=rows)

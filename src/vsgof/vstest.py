@@ -20,9 +20,8 @@ or fixed null, the whole pipeline re-run per replicate).  Replicates for
 which no window satisfies the constraint are dropped from the reference
 set and counted.
 
-Monte-Carlo runs are reproducible by contract: replicate substreams derive
-from ``opts.seed`` in fixed-size chunks, so results are bitwise identical
-for any ``threads`` value.
+Monte-Carlo runs follow the seeded chunk contract of ``vsgof._mc``:
+results are bitwise identical for any ``threads`` value.
 
 A note on the equivalence mode used by the test-suite identity check: with
 ``relax=True``, ``delta=-1/6`` and a simple normal null whose plug-in scale
@@ -33,13 +32,13 @@ of the minimized empirical-likelihood ratio over the same window table.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import psi
 
 from . import distributions as dist
+from ._mc import check_count, check_seed, seeded_map
 from .errors import (ConstraintError, DataError, EstimationError,
                      ParameterError, TiesError)
 from .sample import Sample, as_sample
@@ -62,7 +61,6 @@ __all__ = [
 ]
 
 _ASYMPTOTIC_MIN_N = 80  # sample size at which the normal limit takes over
-_CHUNK = 256  # fixed Monte-Carlo chunk size; part of the determinism contract
 
 _TIES_WARNING = ("sample contains tied values; spacing estimates are only "
                  "defined for windows wider than the tie runs")
@@ -169,29 +167,53 @@ def statistic_at(x: "Sample | np.ndarray", family: str, params, m: int) -> float
     return -vasicek_estimate(s, m) - loglik
 
 
-def _select_from_scan(windows: np.ndarray, values: np.ndarray,
-                      computable: np.ndarray, mean_loglik: float,
-                      relax: bool) -> int:
-    """Index (into windows) of the selected window; raises if none qualifies."""
+def _select_rows(V: np.ndarray, computable: np.ndarray, loglik: np.ndarray,
+                 relax: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The window-selection rule, row by row.
+
+    A window is admissible when its estimate is computable and, unless
+    ``relax``, at most the null bound ``-loglik`` (so the statistic is
+    >= 0).  Returns the column of the largest admissible estimate (the
+    first, i.e. smallest window, on ties; 0 when none) and whether the row
+    has one.  A NaN ``loglik`` (a failed refit) makes the row not ok.
+    """
+    if relax:
+        admissible = computable
+    else:
+        with np.errstate(invalid="ignore"):
+            admissible = computable & (V <= -loglik[:, None])
+    col = np.argmax(np.where(admissible, V, -np.inf), axis=1)
+    return col, np.any(admissible, axis=1) & ~np.isnan(loglik)
+
+
+def _scan_and_select(s: Sample, fam, params, delta: float, extend: bool,
+                     relax: bool) -> tuple[int, float, WindowScan, list[str]]:
+    """Window scan of one sample and the selection rule applied to it.
+
+    Returns the selected window, the statistic there, the scan and the
+    warnings; raises TiesError or ConstraintError when no window qualifies.
+    """
+    loglik = empirical_null_loglik(s, fam.family_id, params)
+    ms = candidate_windows(s.n, delta, extend)
+    V, computable = batch_window_values(s.sorted_values[None, :], ms)
+    warnings = [_TIES_WARNING] if s.has_ties else []
     if not np.any(computable):
         raise TiesError(
             "too many tied values: no candidate window yields positive "
             "spacings, so the entropy estimate does not exist; re-run with "
             "extend=True for wider windows or de-duplicate the data"
         )
-    if relax:
-        admissible = computable
-    else:
-        admissible = computable & (values <= -mean_loglik)
-    if not np.any(admissible):
+    col, ok = _select_rows(V, computable, np.array([loglik]), relax)
+    if not ok[0]:
         raise ConstraintError(
             "the spacing entropy estimate exceeds the empirical null bound "
             "for every candidate window; the sample may be too small, or is "
             "unlikely to come from the null family (extend=True widens the "
             "window range, relax=True drops the constraint)"
         )
-    masked = np.where(admissible, values, -np.inf)
-    return int(np.argmax(masked))  # first maximum = smallest window
+    j = int(col[0])
+    scan = WindowScan(windows=ms, values=V[0], computable=computable[0])
+    return int(ms[j]), float(-V[0, j] - loglik), scan, warnings
 
 
 def select_window(x: "Sample | np.ndarray", family: str, params, *,
@@ -202,20 +224,11 @@ def select_window(x: "Sample | np.ndarray", family: str, params, *,
     Returns the selected window, the scan over the whole candidate range
     (values + computability flags), and any warnings raised along the way.
     """
-    s = as_sample(x)
     fam = dist.resolve_family(family)
-    p = fam.validate_params(params)
-    loglik = empirical_null_loglik(s, fam.family_id, p)
     d = fam.default_delta if delta is None else float(delta)
-    ms = candidate_windows(s.n, d, extend)
-    values, computable = batch_window_values(s.sorted_values[None, :], ms)
-    values, computable = values[0], computable[0]
-    warnings: list[str] = []
-    if s.has_ties:
-        warnings.append(_TIES_WARNING)
-    j = _select_from_scan(ms, values, computable, loglik, relax)
-    scan = WindowScan(windows=ms, values=values, computable=computable)
-    return int(ms[j]), scan, tuple(warnings)
+    m, _, scan, warnings = _scan_and_select(
+        as_sample(x), fam, fam.validate_params(params), d, extend, relax)
+    return m, scan, tuple(warnings)
 
 
 def harmonic_prefix(top: int) -> list[float]:
@@ -269,43 +282,26 @@ def asymptotic_p_value(statistic: float, m: int, n: int) -> float:
 # Monte-Carlo engine
 # ---------------------------------------------------------------------------
 
-def _chunk_bounds(B: int) -> list[int]:
-    sizes = [_CHUNK] * (B // _CHUNK)
-    if B % _CHUNK:
-        sizes.append(B % _CHUNK)
-    return sizes
-
-
-def _null_chunk(family: str, params: np.ndarray, n: int, size: int,
-                refit: bool, ms: np.ndarray, relax: bool,
+def _null_chunk(fam, params: np.ndarray, n: int, refit: bool,
+                ms: np.ndarray, relax: bool, size: int,
                 seed_seq: np.random.SeedSequence
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One chunk of null replicates: statistics, windows, validity flags."""
-    fam = dist.resolve_family(family)
     rng = np.random.default_rng(seed_seq)
     X = fam.sample(params, (size, n), rng)
     loglik = np.full(size, np.nan)
-    okfit = np.ones(size, dtype=bool)
     if refit:
         P, okfit = fam.fit_rows(X)
         if np.any(okfit):
             loglik[okfit] = fam.mean_loglik_rows(X[okfit], P[okfit])
     else:
         loglik[:] = fam.log_density(params, X).mean(axis=1)
-    S = np.sort(X, axis=1)
-    V, computable = batch_window_values(S, ms)
-    if relax:
-        admissible = computable
-    else:
-        with np.errstate(invalid="ignore"):
-            admissible = computable & (V <= -loglik[:, None])
-    ok = okfit & np.any(admissible, axis=1)
-    masked = np.where(admissible, V, -np.inf)
-    best = masked.max(axis=1, initial=-np.inf)
+    V, computable = batch_window_values(np.sort(X, axis=1), ms)
+    col, ok = _select_rows(V, computable, loglik, relax)
+    best = np.where(ok, V[np.arange(size), col], -np.inf)
     with np.errstate(invalid="ignore"):
         stats = -best - loglik
-    m_hat = ms[np.argmax(masked, axis=1)]
-    return stats, m_hat, ok
+    return stats, ms[col], ok
 
 
 def simulate_null_statistics(family: str, params, n: int, B: int, *,
@@ -315,29 +311,18 @@ def simulate_null_statistics(family: str, params, n: int, B: int, *,
     """Statistics of B null replicates (parametric bootstrap).
 
     Returns ``(stats, m_hat, ok)``; entries with ``ok=False`` had no
-    admissible window (or a failed re-fit) and must be ignored.  Replicate
-    substreams spawn from ``seed`` in fixed chunks: output is independent
-    of ``threads``.
+    admissible window (or a failed re-fit) and must be ignored.  Replicates
+    run in the seeded chunks of ``vsgof._mc``: output is independent of
+    ``threads``.
     """
     fam = dist.resolve_family(family)
     p = fam.validate_params(params)
-    sizes = _chunk_bounds(int(B))
-    children = np.random.SeedSequence(seed).spawn(len(sizes))
-    tasks = list(zip(sizes, children))
 
-    def run(task):
-        size, child = task
-        return _null_chunk(fam.family_id, p, n, size, refit, ms, relax, child)
+    def run(size, child):
+        return _null_chunk(fam, p, n, refit, ms, relax, size, child)
 
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
-    stats = np.concatenate([r[0] for r in results])
-    m_hat = np.concatenate([r[1] for r in results])
-    ok = np.concatenate([r[2] for r in results])
-    return stats, m_hat, ok
+    chunks, = seeded_map([(seed, run)], check_count(B, "B"), threads=threads)
+    return tuple(np.concatenate(part) for part in zip(*chunks))
 
 
 def monte_carlo_p_value(observed: float, family: str, params, n: int, *,
@@ -361,12 +346,6 @@ def monte_carlo_p_value(observed: float, family: str, params, n: int, *,
         )
     p = float((stats[ok] > observed).sum() / (B - ignored))
     return p, ignored
-
-
-def _is_count(B) -> bool:
-    """B is a positive integer (a bool is an int, but not a count)."""
-    return (isinstance(B, (int, np.integer)) and not isinstance(B, bool)
-            and B >= 1)
 
 
 def _resolve_p_method(opts: TestOptions, n: int) -> str:
@@ -403,8 +382,9 @@ def vs_test(x: "Sample | np.ndarray", family: str,
         raise DataError(f"the test needs at least 3 observations, got {s.n}")
     fam = dist.resolve_family(family)
 
-    if not _is_count(opts.B):
-        raise ParameterError(f"B must be a positive integer, got {opts.B!r}")
+    check_count(opts.B, "B")
+    if opts.seed is not None:
+        check_seed(opts.seed)
     if opts.delta is not None and not float(opts.delta) < 1.0 / 3.0:
         raise ParameterError(f"delta must be < 1/3, got {opts.delta}")
 
@@ -420,30 +400,16 @@ def vs_test(x: "Sample | np.ndarray", family: str,
                                   provenance="mle")
         refit = True
 
-    loglik = empirical_null_loglik(s, fam.family_id, params)
     delta = fam.default_delta if opts.delta is None else float(opts.delta)
-    ms = candidate_windows(s.n, delta, opts.extend)
-    values, computable = batch_window_values(s.sorted_values[None, :], ms)
-    values, computable = values[0], computable[0]
-    warnings: list[str] = []
-    if s.has_ties:
-        warnings.append(_TIES_WARNING)
-    j = _select_from_scan(ms, values, computable, loglik, opts.relax)
-    m_hat = int(ms[j])
-    statistic = float(-values[j] - loglik)
-    scan = WindowScan(windows=ms, values=values, computable=computable)
+    m_hat, statistic, scan, warnings = _scan_and_select(
+        s, fam, params, delta, opts.extend, opts.relax)
 
     method = _resolve_p_method(opts, s.n)
     ignored = 0
     if method == "monte_carlo":
-        if opts.seed is None:
-            raise ParameterError(
-                "Monte-Carlo p-values need a seed (opts.seed) for "
-                "reproducibility; none was given"
-            )
         p, ignored = monte_carlo_p_value(
             statistic, fam.family_id, params, s.n, B=int(opts.B),
-            refit=refit, ms=ms, relax=opts.relax, seed=int(opts.seed),
+            refit=refit, ms=scan.windows, relax=opts.relax, seed=opts.seed,
             threads=threads)
         if ignored:
             warnings.append(

@@ -15,6 +15,7 @@ from vsgof.edf import (
     ks_statistic,
 )
 from vsgof.errors import DataError, ParameterError
+from vsgof.vstest import vs_test
 
 
 def ad_oracle(u_sorted):
@@ -98,6 +99,21 @@ def test_degenerate_pit_rejected():
         ks_statistic(np.array([1.5, 2.0, 3.0]), "uniform", (0.0, 1.0))
 
 
+def test_observation_outside_support_rejected_like_vs_test():
+    # One value below the exponential support: the PIT is not degenerate,
+    # but the EDF path must refuse the data as vs_test does.
+    x = np.array([-1.0, 0.2, 0.5, 0.7, 0.9])
+    with pytest.raises(DataError, match=r"outside the exponential support.*\[0\]"):
+        edf_test(x, "dexp", (1.0,), "ad", B=200, seed=1)
+    with pytest.raises(DataError, match="outside the exponential support"):
+        edf_mc_p_value(x, "dexp", (1.0,), "ks", B=200, seed=1)
+    with pytest.raises(DataError, match="outside the exponential support"):
+        vs_test(x, "dexp", fixed_params=(1.0,), B=200, seed=1)
+    # a PIT of 0 on the support's edge is not outside it
+    x[0] = 0.0
+    assert 0.0 <= edf_test(x, "dexp", (1.0,), "ad", B=200, seed=1).p_value <= 1.0
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo p-values
 
@@ -149,6 +165,11 @@ def test_edf_mc_p_value_validation():
             edf_mc_p_value(x, "normal", (0.0, 1.0), "ks", B=bad_B, seed=1)
         with pytest.raises(ParameterError, match="B must be"):
             edf_test(x, "normal", (0.0, 1.0), "ks", B=bad_B, seed=1)
+    for bad_seed in (-1, 1.5, "7", True, np.float64(3.0)):
+        with pytest.raises(ParameterError, match="seed"):
+            edf_mc_p_value(x, "normal", (0.0, 1.0), "ks", B=50, seed=bad_seed)
+        with pytest.raises(ParameterError, match="seed"):
+            edf_test(x, "normal", (0.0, 1.0), "ks", B=50, seed=bad_seed)
     with pytest.raises(ParameterError, match="unknown EDF test"):
         edf_mc_p_value(x, "normal", (0.0, 1.0), "watson", B=100, seed=1)
 

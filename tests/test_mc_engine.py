@@ -1,0 +1,233 @@
+"""The seeded Monte-Carlo engine and the window-selection rule.
+
+The pinned values below were recorded before the chunk/thread-pool loops
+of ``vstest``, ``edf`` and ``power`` were merged into ``vsgof._mc`` and
+the window rule into ``vstest._select_rows``.  They are compared with
+``==``: the engine's contract is that outputs stay bit for bit the same.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import select_window_oracle
+from vsgof import (ParameterError, PowerScenario, candidate_windows,
+                   edf_mc_p_value, monte_carlo_p_value,
+                   run_power_study, vs_test)
+from vsgof.cli import main
+from vsgof.spacing import batch_window_values
+from vsgof.vstest import _select_rows, simulate_null_statistics
+
+
+def _data(kind, seed):
+    rng = np.random.default_rng(seed)
+    draw = {
+        "exp": lambda: rng.exponential(1.3, size=30),
+        "gamma": lambda: rng.gamma(2.5, 1.0, size=25),
+        "normal": lambda: rng.normal(1.0, 2.0, size=30),
+        "laplace": lambda: rng.laplace(0.0, 1.0, size=8),
+        "pareto": lambda: 1.0 + rng.pareto(1.0, size=6),
+        "fisher": lambda: rng.f(5.0, 10.0, size=40),
+    }
+    return draw[kind]()
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "kind, data_seed, family, options, p_value, ignored",
+    [
+        ("exp", 401, "exponential",
+         dict(fixed_params=(1.0,), B=600, seed=11), 0.47, 0),
+        ("gamma", 402, "gamma", dict(B=600, seed=12), 0.8, 0),
+        ("normal", 403, "normal", dict(extend=True, B=300, seed=13), 0.85, 0),
+        ("laplace", 404, "laplace", dict(relax=True, B=300, seed=14),
+         0.31666666666666665, 0),
+        # replicates discarded for want of an admissible window
+        ("pareto", 405, "pareto", dict(B=600, seed=15), 0.8060200668896321, 2),
+        # replicates discarded for failed refits
+        ("fisher", 406, "fisher", dict(B=300, seed=16), 0.33793103448275863, 10),
+    ],
+)
+def test_vs_test_monte_carlo_p_value_pinned(kind, data_seed, family, options,
+                                            p_value, ignored, threads):
+    report = vs_test(_data(kind, data_seed), family, threads=threads, **options)
+    assert report.p_value_method == "monte_carlo"
+    assert report.p_value == p_value
+    assert report.ignored_replicates == ignored
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "family, params, n, B, seed, refit, relax, counts, kept, total",
+    [
+        ("normal", (0.0, 1.0), 40, 700, 17, True, False,
+         [0, 0, 26, 185, 206, 128, 79, 32, 16, 14, 4, 7, 2, 0, 1], 700,
+         109.78038164582358),
+        ("pareto", (1.0, 1.0), 8, 700, 18, True, False,
+         [0, 176, 258, 266], 699, 133.90420153960468),
+        ("pareto", (1.0, 1.0), 8, 700, 18, True, True,
+         [0, 55, 108, 537], 700, 20.758295982134115),
+        ("exponential", (2.0,), 30, 300, 19, False, False,
+         [0, 0, 12, 56, 56, 18, 15, 12, 10, 10, 10, 10, 7, 12, 72], 300,
+         47.68189951399409),
+        # failed refits under relax: their windows still count in m_hat
+        ("fisher", (5.0, 10.0), 40, 300, 20, True, True,
+         [0, 0, 3, 30, 56, 41, 19, 17, 7, 7, 7, 9, 3, 2, 1, 1, 0, 2, 11, 84],
+         291, 29.872089215736196),
+    ],
+)
+def test_simulated_windows_pinned(family, params, n, B, seed, refit, relax,
+                                  counts, kept, total, threads):
+    stats, m_hat, ok = simulate_null_statistics(
+        family, params, n, B, refit=refit, relax=relax,
+        ms=candidate_windows(n, 1.0 / 12.0, True), seed=seed, threads=threads)
+    assert np.bincount(m_hat).tolist() == counts
+    assert int(ok.sum()) == kept
+    assert math.fsum(stats[ok]) == total
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("test_id, p_value",
+                         [("ks", 0.02), ("ad", 0.08285714285714285)])
+def test_edf_mc_p_value_pinned(test_id, p_value, threads):
+    x = np.random.default_rng(407).normal(0.2, 1.1, size=35)
+    assert edf_mc_p_value(x, "normal", (0.0, 1.0), test_id, B=700, seed=19,
+                          threads=threads) == p_value
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_power_study_pinned(threads):
+    # 120 replicates = two chunks of 50 and a partial one of 20 per cell
+    scn = PowerScenario(
+        name="pin", null_family="dexp", null_params=(1.0,),
+        alt_family="dweibull", alt_params=(1.5, 1.0), tests=("vs", "ad"),
+        n_values=(15,), replicates=120, B=100, seed=20)
+    rows = run_power_study(scn, threads=threads).rows
+    assert [(r.n, r.test, r.rejections, r.errors) for r in rows] == [
+        (15, "vs", 13, 0), (15, "ad", 7, 0)]
+
+
+# ---------------------------------------------------------------------------
+# the window-selection rule
+
+
+def _selection_matrix():
+    """Samples of n=13 with their mean null log-likelihoods: plain rows,
+    rows with ties, rows that fail the constraint or bind it part-way."""
+    rng = np.random.default_rng(408)
+    rows = [rng.normal(size=13) for _ in range(4)]
+    rows.append(np.repeat(np.arange(5.0), 3)[:13])  # triples: m=1 fails
+    rows.append(np.repeat(np.arange(7.0), 2)[:13])  # pairs
+    rows.append(np.array([0.0] * 7 + [1.0] * 6))  # no window computable
+    rows += [rng.exponential(size=13) for _ in range(3)]
+    loglik = [float(np.mean(-0.5 * r ** 2 - 0.5 * math.log(2 * math.pi)))
+              for r in rows[:4]]
+    loglik += [-1.0, -1.0, -1.0]
+    ms = np.arange(1, 7)
+    V, _ = batch_window_values(np.sort(rows[7:], axis=1), ms)
+    loglik.append(-float(np.nanmin(V[0])) + 1.0)  # bound below every estimate
+    mid = np.sort(V[1])
+    loglik.append(-0.5 * float(mid[2] + mid[3]))  # bound between estimates
+    loglik.append(-float(np.nanmax(V[2])) - 1.0)  # bound above every estimate
+    return np.sort(rows, axis=1), np.array(loglik)
+
+
+@pytest.mark.parametrize("relax", [False, True])
+def test_select_rows_matches_brute_force_oracle(relax):
+    S, loglik = _selection_matrix()
+    ms = candidate_windows(13, 1.0 / 12.0, True)
+    V, computable = batch_window_values(S, ms)
+    col, ok = _select_rows(V, computable, loglik, relax)
+    statuses = []
+    for i in range(S.shape[0]):
+        status, m = select_window_oracle(list(S[i]), loglik[i], 1.0 / 12.0,
+                                         True, relax)
+        statuses.append(status)
+        assert ok[i] == (status == "ok")
+        if status == "ok":
+            assert ms[col[i]] == m
+    assert "ties" in statuses
+    assert ("constraint" in statuses) != relax
+
+    # a failed refit (NaN log-likelihood) never yields a usable row
+    with_nan = loglik.copy()
+    with_nan[0] = np.nan
+    col_nan, ok_nan = _select_rows(V, computable, with_nan, relax)
+    assert not ok_nan[0]
+    np.testing.assert_array_equal(ok_nan[1:], ok[1:])
+    np.testing.assert_array_equal(col_nan[1:], col[1:])
+
+    # the bound is inclusive: an estimate equal to it stays admissible
+    j = int(np.nanargmax(V[0]))
+    col_eq, ok_eq = _select_rows(V[:1], computable[:1], -V[0, j:j + 1], relax)
+    assert ok_eq[0] and col_eq[0] == j
+
+
+# ---------------------------------------------------------------------------
+# thread-count invariance and seed checks
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    null=st.sampled_from([("normal", (0.0, 1.0)), ("exponential", (2.0,)),
+                          ("gamma", (2.0, 1.0)), ("pareto", (1.0, 1.0))]),
+    n=st.integers(5, 25),
+    B=st.integers(1, 700),
+    seed=st.integers(0, 2 ** 63),
+    threads=st.integers(2, 4),
+    refit=st.booleans(),
+    relax=st.booleans(),
+)
+def test_results_invariant_to_thread_count(null, n, B, seed, threads, refit,
+                                           relax):
+    family, params = null
+    ms = candidate_windows(n, 1.0 / 12.0, True)
+    one = simulate_null_statistics(family, params, n, B, refit=refit,
+                                   relax=relax, ms=ms, seed=seed, threads=1)
+    many = simulate_null_statistics(family, params, n, B, refit=refit,
+                                    relax=relax, ms=ms, seed=seed,
+                                    threads=threads)
+    for a, b in zip(one, many):
+        np.testing.assert_array_equal(a, b)
+    x = np.random.default_rng(seed).exponential(size=n)
+    assert (edf_mc_p_value(x, "exponential", (1.0,), "cvm", B=B, seed=seed)
+            == edf_mc_p_value(x, "exponential", (1.0,), "cvm", B=B, seed=seed,
+                              threads=threads))
+
+
+@pytest.mark.parametrize("bad_seed", [-1, 1.5, "7", True, np.float64(3.0)])
+def test_bad_seeds_raise_parameter_error(bad_seed):
+    with pytest.raises(ParameterError, match="seed"):
+        simulate_null_statistics("normal", (0.0, 1.0), 20, 50, refit=False,
+                                 ms=np.arange(1, 3), seed=bad_seed)
+
+
+@pytest.mark.parametrize("bad_B", [0, 2.5, True])
+def test_bad_replicate_counts_raise_parameter_error(bad_B):
+    with pytest.raises(ParameterError, match="B must be"):
+        monte_carlo_p_value(0.1, "normal", (0.0, 1.0), 20, B=bad_B,
+                            refit=False, ms=np.arange(1, 3), seed=1)
+
+
+def test_numpy_integer_seed_equals_int_seed():
+    x = np.random.default_rng(410).normal(size=20)
+    assert (vs_test(x, "normal", seed=np.int64(5), B=50).p_value
+            == vs_test(x, "normal", seed=5, B=50).p_value)
+    assert vs_test(x, "normal", seed=0, B=50).p_value_method == "monte_carlo"
+
+
+def test_cli_bad_seed_exits_four(tmp_path, capsys):
+    path = tmp_path / "x.txt"
+    path.write_text("\n".join(repr(float(v)) for v in
+                              np.random.default_rng(411).normal(size=20)))
+    code = main(["test", str(path), "--family", "normal", "--seed=-1",
+                 "--B", "100"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "seed must be an integer >= 0" in err

@@ -159,6 +159,12 @@ def test_edf_tests_need_simple_null():
         {"name": ""},
         {"null_family": "dcauchy"},
         {"B": True},  # a bool is an int, but not a replicate count
+        {"replicates": 2.5},
+        {"replicates": True},
+        {"n_values": (10.5,)},
+        {"n_values": (20, True)},
+        {"seed": -5},
+        {"seed": 1.5},
     ],
 )
 def test_scenario_validation_rejects(over):
@@ -208,23 +214,28 @@ def test_power_study_deterministic_across_threads():
 
 
 def test_replicate_errors_are_counted_not_rejected():
-    # Normal draws violate the exponential support, so the spacing test
-    # raises a data error for (almost) every replicate.
+    # Normal draws violate the exponential support, so the spacing test and
+    # the EDF tests raise a data error for (almost) every replicate.
     scn = PowerScenario(
         name="err",
         null_family="dexp",
         null_params=(1.0,),
         alt_family="dnorm",
         alt_params=(0.0, 1.0),
-        tests=("vs",),
+        tests=("vs", "ks", "ad"),
         n_values=(15,),
         seed=5,
         replicates=40,
         B=50,
     )
-    row = run_power_study(scn).row(15, "vs")
-    assert row.errors > 0
-    assert row.rejections + row.errors <= row.replicates
+    table = run_power_study(scn)
+    rows = [table.row(15, test) for test in scn.tests]
+    for row in rows:
+        assert row.errors > 0
+        assert row.rejections + row.errors <= row.replicates
+    # every test sees the same draws, and a draw outside the support is an
+    # error for each of them, not an EDF rejection
+    assert len({row.errors for row in rows}) == 1
 
 
 def test_power_detects_clear_misfit():

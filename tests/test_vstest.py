@@ -403,6 +403,11 @@ def test_option_validation():
             vs_test(x, "normal", B=bad_B, seed=1)
         with pytest.raises(ParameterError, match="B must be"):
             vs_test(x, "normal", TestOptions(B=bad_B, seed=1))
+    for bad_seed in (-1, 1.5, "7", True, np.float64(3.0)):
+        with pytest.raises(ParameterError, match="seed"):
+            vs_test(x, "normal", seed=bad_seed, B=50)
+        with pytest.raises(ParameterError, match="seed"):
+            vs_test(x, "normal", seed=bad_seed, simulate_p_value=False)
     with pytest.raises(ParameterError, match="delta"):
         vs_test(x, "normal", delta=0.4, seed=1)
     with pytest.raises(DataError):
