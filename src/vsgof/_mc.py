@@ -49,6 +49,7 @@ def seeded_map(jobs, total: int, *, threads: int = 1,
     ``SeedSequence``.  Returns, per job, the results of its chunks in
     order.  All chunks of all jobs share one pool when ``threads > 1``.
     """
+    threads = check_count(threads, "threads")
     sizes = [chunk] * (total // chunk) + ([total % chunk] if total % chunk else [])
     tasks = []  # (fn, size, child) in job order, then chunk order
     for seed, fn in jobs:
@@ -62,7 +63,7 @@ def seeded_map(jobs, total: int, *, threads: int = 1,
         return fn(size, child)
 
     if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             out = list(pool.map(run, tasks))
     else:
         out = [run(t) for t in tasks]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -27,7 +28,8 @@ def _max_tie_run(sorted_values: np.ndarray) -> int:
 class Sample:
     """One-dimensional data sample with cached order statistics.
 
-    Construction validates the data: at least two observations, all finite.
+    Construction validates the data: at least two observations, all finite,
+    with a finite spread max - min (so that every spacing is finite).
     ``sorted_values`` ascending and ``max_tie_run`` (longest run of tied
     values) are computed once and reused by every estimator.
     """
@@ -51,6 +53,12 @@ class Sample:
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
         srt = np.sort(arr)
+        lo, hi = float(srt[0]), float(srt[-1])
+        if not math.isfinite(hi - lo):  # Python floats overflow to inf silently
+            raise DataError(
+                f"sample spread max - min overflows: the values range from "
+                f"{lo!r} to {hi!r}; rescale the data"
+            )
         srt.flags.writeable = False
         object.__setattr__(self, "sorted_values", srt)
         object.__setattr__(self, "max_tie_run", _max_tie_run(srt))

@@ -8,7 +8,8 @@ For an ordered sample ``x_(1) <= ... <= x_(n)`` and a window ``m`` with
 with the convention that order statistics below the first (above the last)
 are clamped to the first (last) value.  A zero spacing makes the estimate
 undefined for that window: ties denser than the window are the one data
-pathology this estimator cannot absorb.
+pathology this estimator cannot absorb.  (A ``Sample`` has a finite spread
+max - min, so its spacings are finite too.)
 """
 
 from __future__ import annotations
@@ -54,31 +55,48 @@ def batch_window_values(sorted_rows: np.ndarray, windows: np.ndarray) -> tuple[n
     Parameters
     ----------
     sorted_rows : (B, n) array, each row ascending.
-    windows : 1-D int array of window sizes, each in [1, (n-1)//2].
+    windows : 1-D int array of window sizes, each with 1 <= m < n/2.
 
     Returns
     -------
     values : (B, len(windows)) float array; NaN where not computable.
-    computable : matching bool array, False where some spacing is zero.
+    computable : matching bool array.  A window is not computable for a row
+        when one of its spacings is zero (tied values) or NaN; an infinite
+        spacing (overflow) leaves it computable, with an infinite value.
+
+    Raises
+    ------
+    ParameterError
+        if some window is outside 1 <= m < n/2.
+
+    Each window costs one subtraction pass, one in-place log and one row
+    mean over a single (B, n) buffer reused across windows.  A zero spacing
+    makes the row mean -inf and a NaN spacing makes it NaN, so ``mean >
+    -inf`` is the computability flag.
     """
     S = np.asarray(sorted_rows, dtype=float)
     if S.ndim == 1:
         S = S[None, :]
     B, n = S.shape
     ms = np.asarray(windows, dtype=int)
-    values = np.full((B, ms.shape[0]), np.nan)
-    computable = np.zeros((B, ms.shape[0]), dtype=bool)
-    idx = np.arange(n)
-    for j, m in enumerate(ms):
-        hi = S[:, np.minimum(idx + m, n - 1)]
-        lo = S[:, np.maximum(idx - m, 0)]
-        gaps = hi - lo
-        ok = np.all(gaps > 0.0, axis=1)
-        computable[:, j] = ok
-        if np.any(ok):
-            with np.errstate(divide="ignore"):
-                logs = np.log(gaps[ok])
-            values[ok, j] = np.log(n / (2.0 * m)) + logs.mean(axis=1)
+    if ms.size and (ms.min() < 1 or 2 * ms.max() >= n):
+        raise ParameterError(
+            f"windows {ms.tolist()} outside the valid range 1 <= m < n/2 "
+            f"for n={n}")
+    values = np.empty((B, ms.shape[0]))
+    computable = np.empty((B, ms.shape[0]), dtype=bool)
+    gaps = np.empty((B, n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j, m in enumerate(ms):
+            # x_(i+m) - x_(i-m), order statistics clamped at both ends
+            np.subtract(S[:, m:2 * m], S[:, :1], out=gaps[:, :m])
+            np.subtract(S[:, 2 * m:], S[:, :n - 2 * m], out=gaps[:, m:n - m])
+            np.subtract(S[:, n - 1:], S[:, n - 2 * m:n - m], out=gaps[:, n - m:])
+            np.log(gaps, out=gaps)
+            mean = gaps.mean(axis=1)
+            ok = mean > -np.inf
+            computable[:, j] = ok
+            values[:, j] = np.where(ok, np.log(n / (2.0 * m)) + mean, np.nan)
     return values, computable
 
 

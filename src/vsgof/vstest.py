@@ -372,6 +372,7 @@ def vs_test(x: "Sample | np.ndarray", family: str,
     fields as keyword arguments (``vs_test(x, "dnorm", seed=1, B=1000)``).
     ``threads`` parallelizes Monte-Carlo chunks without changing results.
     """
+    check_count(threads, "threads")
     if opts is None:
         opts = TestOptions(**option_overrides)
     elif option_overrides:

@@ -135,6 +135,20 @@ def test_unusable_data_exits_three(tmp_path, capsys, body):
     assert code == 3 and err.startswith("error:")
 
 
+def test_overflowing_spread_exits_three(tmp_path, capsys):
+    path = datafile(tmp_path, [-1e308, -5e307, 0.0, 5e307, 1e308, 2e307, -2e307])
+    code, _, err = run(capsys, "test", path, "--family", "dnorm")
+    assert code == 3 and "spread" in err
+
+
+def test_invalid_thread_count_exits_four(tmp_path, capsys):
+    x = np.random.default_rng(57).normal(size=40)
+    path = datafile(tmp_path, x)
+    code, _, err = run(capsys, "test", path, "--family", "dnorm",
+                       "--seed", "1", "--threads", "0")
+    assert code == 4 and "threads" in err
+
+
 def test_missing_data_file(capsys):
     code, _, err = run(capsys, "entropy", "/no/such/file.txt", "--window", "1")
     assert code == 3

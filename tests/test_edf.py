@@ -172,6 +172,13 @@ def test_edf_mc_p_value_validation():
             edf_test(x, "normal", (0.0, 1.0), "ks", B=50, seed=bad_seed)
     with pytest.raises(ParameterError, match="unknown EDF test"):
         edf_mc_p_value(x, "normal", (0.0, 1.0), "watson", B=100, seed=1)
+    for bad_threads in (0, -3, "2", None, 1.5, True):
+        with pytest.raises(ParameterError, match="threads must be"):
+            edf_mc_p_value(x, "normal", (0.0, 1.0), "ks", B=50, seed=1,
+                           threads=bad_threads)
+        with pytest.raises(ParameterError, match="threads must be"):
+            edf_test(x, "normal", (0.0, 1.0), "ks", B=50, seed=1,
+                     threads=bad_threads)
 
 
 def test_edf_test_report():

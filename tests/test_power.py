@@ -211,6 +211,9 @@ def test_power_study_deterministic_across_threads():
     t1 = run_power_study(scn, threads=1)
     t8 = run_power_study(scn, threads=8)
     assert t1.rows == t8.rows
+    for bad_threads in (0, -3, "2", None, 1.5, True):
+        with pytest.raises(ParameterError, match="threads must be"):
+            run_power_study(scn, threads=bad_threads)
 
 
 def test_replicate_errors_are_counted_not_rejected():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vsgof.errors import DataError, ParameterError, TiesError
 from vsgof.sample import Sample, as_sample
@@ -14,6 +15,7 @@ from vsgof.spacing import (
     vasicek_estimate,
     window_scan,
 )
+from vsgof.vstest import vs_test
 
 
 def spacing_reference(values, m):
@@ -65,6 +67,19 @@ def test_sample_tie_run_length():
 def test_sample_rejects_bad_input(bad):
     with pytest.raises(DataError):
         Sample(bad)
+
+
+def test_sample_rejects_overflowing_spread():
+    # every value is finite, but max - min exceeds the largest float
+    x = np.array([-1e308, -5e307, 0.0, 5e307, 1e308, 2e307, -2e307])
+    with pytest.raises(DataError, match="spread"):
+        Sample(x)
+    with pytest.raises(DataError, match="spread"):
+        window_scan(x)
+    with pytest.raises(DataError, match="spread"):
+        vs_test(x, "normal")
+    # the widest finite spread is accepted
+    assert Sample(np.array([-8e307, 0.0, 8e307])).n == 3
 
 
 def test_sample_reports_nonfinite_positions():
@@ -240,3 +255,118 @@ def test_batch_window_values_multirow():
             else:
                 assert computable[i, j]
                 assert values[i, j] == pytest.approx(ref, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# batch_window_values against the gather-based formulation, bit for bit
+
+
+def gather_window_values(sorted_rows, windows):
+    """The clamped-index formulation of ``batch_window_values``: gather
+    x_(i+m) and x_(i-m) per window, flag rows with a spacing that is not
+    > 0, and average the logs of the flagged-ok rows only.
+    """
+    S = np.asarray(sorted_rows, dtype=float)
+    B, n = S.shape
+    ms = np.asarray(windows, dtype=int)
+    values = np.full((B, ms.shape[0]), np.nan)
+    computable = np.zeros((B, ms.shape[0]), dtype=bool)
+    idx = np.arange(n)
+    for j, m in enumerate(ms):
+        gaps = S[:, np.minimum(idx + m, n - 1)] - S[:, np.maximum(idx - m, 0)]
+        ok = np.all(gaps > 0.0, axis=1)
+        computable[:, j] = ok
+        if np.any(ok):
+            with np.errstate(divide="ignore"):
+                logs = np.log(gaps[ok])
+            values[ok, j] = np.log(n / (2.0 * m)) + logs.mean(axis=1)
+    return values, computable
+
+
+def assert_matches_gather(rows, ms):
+    with np.errstate(over="ignore"):
+        values, computable = batch_window_values(rows, ms)
+        ref_values, ref_computable = gather_window_values(rows, ms)
+    assert np.array_equal(computable, ref_computable)
+    assert np.array_equal(values, ref_values, equal_nan=True)
+
+
+_ROW_KINDS = ("plain", "tie_start", "tie_middle", "tie_end", "all_equal",
+              "nan", "overflow", "overflow_and_tie")
+
+
+def _planted_row(kind, n, rng):
+    row = np.sort(rng.normal(size=n) * rng.uniform(0.01, 100.0))
+    run = min(n, int(rng.integers(2, 5)))
+    if kind == "tie_start":
+        row[:run] = row[0]
+    elif kind == "tie_middle":
+        at = (n - run) // 2
+        row[at:at + run] = row[at]
+    elif kind == "tie_end":
+        row[n - run:] = row[-1]
+    elif kind == "all_equal":
+        row[:] = 1.25
+    elif kind == "nan":
+        row[n // 2] = np.nan
+    elif kind.startswith("overflow"):
+        # spacings of the wider windows exceed the largest float
+        row = np.linspace(-1.0, 1.0, n) * 1e308
+        if kind == "overflow_and_tie":
+            row[:2] = row[0]
+    return row
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 20, 201])
+@pytest.mark.parametrize("B", [1, 7, 256])
+def test_batch_window_values_equals_gather_bit_for_bit(B, n):
+    rng = np.random.default_rng(1000 * B + n)
+    ms = np.arange(1, max_valid_window(n) + 1)
+    for offset in range(len(_ROW_KINDS)):
+        kinds = [_ROW_KINDS[(i + offset) % len(_ROW_KINDS)] for i in range(B)]
+        rows = np.array([_planted_row(k, n, rng) for k in kinds])
+        assert_matches_gather(rows, ms)
+
+
+def test_batch_window_values_edge_rows_flagged():
+    n = 21
+    ms = np.arange(1, max_valid_window(n) + 1)
+    rng = np.random.default_rng(17)
+    rows = np.array([_planted_row(k, n, rng) for k in
+                     ("all_equal", "nan", "overflow", "overflow_and_tie")])
+    with np.errstate(over="ignore"):
+        values, computable = batch_window_values(rows, ms)
+    assert not computable[0].any() and np.isnan(values[0]).all()
+    assert not computable[1].any() and np.isnan(values[1]).all()
+    # an infinite spacing leaves the window computable, with an infinite value
+    assert computable[2].all() and np.isposinf(values[2, -1])
+    assert np.isfinite(values[2, 0])
+    # a zero spacing next to an infinite one is still not computable
+    assert not computable[3, 0] and np.isnan(values[3, 0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    B=st.integers(1, 12),
+    n=st.integers(3, 60),
+    seed=st.integers(0, 2 ** 32 - 1),
+    ties=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(2, 6)),
+                  max_size=4),
+    scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e300]),
+)
+def test_batch_window_values_property_equals_gather(B, n, seed, ties, scale):
+    rng = np.random.default_rng(seed)
+    rows = np.sort(rng.standard_normal((B, n)), axis=1) * scale
+    for where, run in ties:  # plant a tie run in every row
+        at = int(where * (n - 1))
+        rows[:, at:at + run] = rows[:, at:at + 1]
+    rows = np.sort(rows, axis=1)
+    assert_matches_gather(rows, np.arange(1, max_valid_window(n) + 1))
+
+
+@pytest.mark.parametrize("n, ms", [(10, [0]), (10, [1, 0]), (10, [5]),
+                                   (10, [2, 7]), (3, [2]), (4, [-1])])
+def test_batch_window_values_rejects_invalid_windows(n, ms):
+    rows = np.sort(np.random.default_rng(18).normal(size=(2, n)), axis=1)
+    with pytest.raises(ParameterError, match="1 <= m < n/2"):
+        batch_window_values(rows, np.array(ms))

@@ -414,6 +414,11 @@ def test_option_validation():
         vs_test(np.array([1.0, 2.0]), "normal", seed=1)
     with pytest.raises(ParameterError):
         vs_test(x, "normal", fixed_params=(0.0, 1.0, 2.0), seed=1)
+    for bad_threads in (0, -3, "2", None, 1.5, True):
+        with pytest.raises(ParameterError, match="threads must be"):
+            vs_test(x, "normal", B=50, seed=1, threads=bad_threads)
+        with pytest.raises(ParameterError, match="threads must be"):
+            vs_test(x, "normal", simulate_p_value=False, threads=bad_threads)
 
 
 def test_empirical_likelihood_identity_smoke():
