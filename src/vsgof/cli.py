@@ -26,7 +26,7 @@ from .errors import (CapabilityError, ConstraintError, DataError,
 from .power import parse_scenario_file, run_power_study
 from .sample import Sample
 from .spacing import best_window, max_valid_window, vasicek_estimate
-from .vstest import TestOptions, vs_test
+from .vstest import _SIMULATE_FLAGS, TestOptions, vs_test
 
 __all__ = ["main"]
 
@@ -154,10 +154,6 @@ def _cmd_entropy(args) -> int:
 # test
 # ---------------------------------------------------------------------------
 
-def _simulate_flag(raw: str) -> bool | None:
-    return {"auto": None, "true": True, "false": False}[raw]
-
-
 def _cmd_test(args) -> int:
     x = Sample(_read_values(args.data))
     fam = dist.resolve_family(args.family)
@@ -165,7 +161,7 @@ def _cmd_test(args) -> int:
         delta=args.delta,
         extend=args.extend,
         relax=args.relax,
-        simulate_p_value=_simulate_flag(args.simulate_p),
+        simulate_p_value=_SIMULATE_FLAGS[args.simulate_p],
         B=args.B,
         fixed_params=_parse_params(args.params),
         seed=args.seed,
@@ -274,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="drop the nonnegativity constraint on the statistic")
     p_test.add_argument("--B", type=int, default=5000,
                         help="Monte-Carlo replicates (default 5000)")
-    p_test.add_argument("--simulate-p", choices=("auto", "true", "false"),
+    p_test.add_argument("--simulate-p", choices=tuple(_SIMULATE_FLAGS),
                         default="auto", dest="simulate_p",
                         help="Monte-Carlo p-value: auto decides by sample size")
     p_test.add_argument("--seed", type=int, default=None,

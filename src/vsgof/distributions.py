@@ -2,17 +2,15 @@
 
 Each family provides, under a common interface: parameter validation,
 log-density, CDF, quantile (generalized inverse), exact sampling, and
-maximum-likelihood fitting.  Families with textbook closed-form MLEs use
-them; gamma, weibull, beta and fisher solve their score equations
-numerically (profile Newton for the 1-D cases, damped Newton for the 2-D
-ones) to a gradient norm of 1e-8 or better.
-
-Gamma, weibull and beta fit every row of a (B, n) Monte-Carlo matrix at
-once: each Newton iteration is array code over the rows that have not yet
-converged, and a row that fails or is degenerate is flagged, not raised.
-Their single-sample fit is the same solver on one row.  Fisher still runs a
-scalar damped Newton per row.  Digamma, trigamma and log-gamma come from
-``scipy.special``.
+maximum-likelihood fitting.  Each family has one MLE, ``fit_rows``: it
+fits every row of a (B, n) Monte-Carlo matrix and flags, not raises, a row
+that fails or is degenerate.  Every single-sample fit is row 0 of
+``fit_rows``, so a sample and its null replicates share one estimator.
+Six families have textbook closed forms; gamma, weibull and beta run a
+Newton iteration as array code over the rows not yet converged (profile
+Newton in the shape, damped Newton for beta).  Fisher's ``fit_rows`` loops
+its scalar damped Newton over the rows.  Digamma, trigamma and log-gamma
+come from ``scipy.special``.
 
 Families are addressed either by id ("normal") or by the d-prefixed call
 name ("dnorm").  Parameter conventions:
@@ -171,9 +169,6 @@ class _Family:
     def sample(self, params, size, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
-    def fit(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def closed_form_entropy(self, params) -> float:
         raise CapabilityError(
             f"no closed-form entropy is implemented for the {self.family_id} family"
@@ -182,16 +177,7 @@ class _Family:
     # -- batch helpers (Monte-Carlo engine) ---------------------------------
     def fit_rows(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Row-wise MLE for a (B, n) matrix; returns (params (B,k), ok (B,))."""
-        B = X.shape[0]
-        P = np.full((B, len(self.param_names)), np.nan)
-        ok = np.zeros(B, dtype=bool)
-        for i in range(B):
-            try:
-                P[i] = self.fit(X[i])
-                ok[i] = True
-            except (EstimationError, DataError):
-                ok[i] = False
-        return P, ok
+        raise NotImplementedError
 
     def _cols(self, P: np.ndarray):
         return tuple(P[:, j:j + 1] for j in range(P.shape[1]))
@@ -200,11 +186,12 @@ class _Family:
         """Mean log-density of each row of X under the matching row of P."""
         return self.log_density(self._cols(P), X).mean(axis=1)
 
+    def fit(self, x: np.ndarray) -> np.ndarray:
+        """MLE of one sample: row 0 of :meth:`fit_rows` on ``x[None, :]``.
 
-class _RowFitted(_Family):
-    """A family whose single-sample MLE is its batched fit on one row."""
-
-    def fit(self, x):
+        Raises EstimationError when the row fails: "degenerate" if the
+        data have no spread, "did not converge" otherwise.
+        """
         x = np.asarray(x, dtype=float)
         P, ok = self.fit_rows(x[None, :])
         if not ok[0]:
@@ -252,12 +239,6 @@ class _Uniform(_Family):
         a, b = float(params[0]), float(params[1])
         return a + (b - a) * rng.random(size)
 
-    def fit(self, x):
-        lo, hi = float(np.min(x)), float(np.max(x))
-        if not lo < hi:
-            raise EstimationError("uniform MLE degenerate: all observations equal")
-        return np.array([lo, hi])
-
     def fit_rows(self, X):
         lo = X.min(axis=1)
         hi = X.max(axis=1)
@@ -294,13 +275,6 @@ class _Normal(_Family):
     def sample(self, params, size, rng):
         mu, sd = float(params[0]), float(params[1])
         return mu + sd * rng.standard_normal(size)
-
-    def fit(self, x):
-        mu = float(np.mean(x))
-        sd = math.sqrt(float(np.mean((x - mu) ** 2)))
-        if sd <= 0.0:
-            raise EstimationError("normal MLE degenerate: zero variance")
-        return np.array([mu, sd])
 
     def fit_rows(self, X):
         mu = X.mean(axis=1)
@@ -352,14 +326,6 @@ class _LogNormal(_Family):
         mu, sd = float(params[0]), float(params[1])
         return np.exp(mu + sd * rng.standard_normal(size))
 
-    def fit(self, x):
-        lx = np.log(x)
-        mu = float(np.mean(lx))
-        sd = math.sqrt(float(np.mean((lx - mu) ** 2)))
-        if sd <= 0.0:
-            raise EstimationError("lognormal MLE degenerate: zero variance of log data")
-        return np.array([mu, sd])
-
     def fit_rows(self, X):
         L = np.log(X)
         mu = L.mean(axis=1)
@@ -400,9 +366,6 @@ class _Exponential(_Family):
     def sample(self, params, size, rng):
         return self.quantile(params, _positive(rng.random(size)))
 
-    def fit(self, x):
-        return np.array([1.0 / float(np.mean(x))])
-
     def fit_rows(self, X):
         mean = X.mean(axis=1)
         ok = mean > 0
@@ -411,7 +374,7 @@ class _Exponential(_Family):
         return lam[:, None], ok
 
 
-class _Gamma(_RowFitted):
+class _Gamma(_Family):
     family_id = "gamma"
     call = "dgamma"
     param_names = ("Shape", "Rate")
@@ -466,7 +429,7 @@ class _Gamma(_RowFitted):
         return np.column_stack([a, a / mean]), ok
 
 
-class _Weibull(_RowFitted):
+class _Weibull(_Family):
     family_id = "weibull"
     call = "dweibull"
     param_names = ("Shape", "Scale")
@@ -575,13 +538,6 @@ class _Pareto(_Family):
     def sample(self, params, size, rng):
         return self.quantile(params, rng.random(size))
 
-    def fit(self, x):
-        c = float(np.min(x))
-        t = float(np.mean(np.log(x))) - math.log(c)
-        if not t > 0.0:
-            raise EstimationError("pareto MLE degenerate: all observations equal")
-        return np.array([1.0 / t, c])
-
     def fit_rows(self, X):
         c = X.min(axis=1)
         t = np.log(X).mean(axis=1) - np.log(c)
@@ -655,7 +611,18 @@ class _Fisher(_Family):
             - 0.5 * (psi(0.5 * d2) - psi_sum)
         return np.array([s1, s2])
 
+    def fit_rows(self, X):
+        P = np.full((X.shape[0], 2), np.nan)
+        ok = np.zeros(X.shape[0], dtype=bool)
+        for i, x in enumerate(X):
+            try:
+                P[i], ok[i] = self.fit(x), True
+            except EstimationError:
+                pass
+        return P, ok
+
     def fit(self, x):
+        """Damped Newton on one sample; fit_rows runs it row by row."""
         x = np.asarray(x, dtype=float)
         mlx = float(np.mean(np.log(x)))
         m = float(np.mean(x))
@@ -742,20 +709,13 @@ class _Laplace(_Family):
     def sample(self, params, size, rng):
         return self.quantile(params, _positive(rng.random(size)))
 
-    def fit(self, x):
-        mu = float(np.median(x))
-        sc = float(np.mean(np.abs(x - mu)))
-        if sc <= 0.0:
-            raise EstimationError("laplace MLE degenerate: zero dispersion")
-        return np.array([mu, sc])
-
     def fit_rows(self, X):
         mu = np.median(X, axis=1)
         sc = np.abs(X - mu[:, None]).mean(axis=1)
         return np.column_stack([mu, sc]), sc > 0
 
 
-class _Beta(_RowFitted):
+class _Beta(_Family):
     family_id = "beta"
     call = "dbeta"
     param_names = ("Shape1", "Shape2")

@@ -51,7 +51,7 @@ from . import distributions as dist
 from ._mc import CELL_CHUNK, check_count, check_seed, seeded_map
 from .edf import edf_mc_p_value
 from .errors import DataError, ParameterError, VsgofError
-from .vstest import TestOptions, vs_test
+from .vstest import _SIMULATE_FLAGS, TestOptions, vs_test
 
 __all__ = [
     "PowerScenario",
@@ -116,9 +116,10 @@ class PowerScenario:
                     "selected tests)")
         if self.alt_scale <= 0.0:
             raise ParameterError("alt_scale must be positive")
-        if self.simulate not in ("auto", "true", "false"):
+        if self.simulate not in _SIMULATE_FLAGS:
             raise ParameterError(
-                f"simulate must be auto, true or false, got {self.simulate!r}")
+                f"simulate must be one of {', '.join(_SIMULATE_FLAGS)}, "
+                f"got {self.simulate!r}")
         if self.extend and self.simulate == "false":
             raise ParameterError(
                 "extend=true forces Monte-Carlo p-values and cannot be "
@@ -269,15 +270,12 @@ def parse_scenario_file(path) -> PowerScenario:
 # Study runner
 # ---------------------------------------------------------------------------
 
-_SIMULATE_FLAG = {"auto": None, "true": True, "false": False}
-
-
 def _replicate_p_value(scn: PowerScenario, n: int, test: str, x: np.ndarray,
                        inner_seed: int) -> float:
     if test == "vs":
         report = vs_test(x, scn.null_family, TestOptions(
             delta=scn.delta, extend=scn.extend, relax=scn.relax,
-            simulate_p_value=_SIMULATE_FLAG[scn.simulate], B=scn.B,
+            simulate_p_value=_SIMULATE_FLAGS[scn.simulate], B=scn.B,
             fixed_params=scn.null_params, seed=inner_seed))
         return report.p_value
     return edf_mc_p_value(x, scn.null_family, scn.null_params, test,

@@ -17,8 +17,8 @@ widens the range to every valid window and ``relax`` drops the constraint.
 p-values come from a centered-and-scaled normal limit for large samples,
 or from parametric-bootstrap Monte-Carlo (replicates drawn from the fitted
 or fixed null, the whole pipeline re-run per replicate).  Replicates for
-which no window satisfies the constraint are dropped from the reference
-set and counted.
+which no window satisfies the constraint, or whose refit fails, are
+dropped from the reference set and counted.
 
 Monte-Carlo runs follow the seeded chunk contract of ``vsgof._mc``:
 results are bitwise identical for any ``threads`` value.
@@ -42,7 +42,8 @@ from ._mc import check_count, check_seed, seeded_map
 from .errors import (ConstraintError, DataError, EstimationError,
                      ParameterError, TiesError)
 from .sample import Sample, as_sample
-from .spacing import WindowScan, batch_window_values, max_valid_window
+from .spacing import (WindowScan, batch_window_values, max_valid_window,
+                      vasicek_estimate)
 from .special import std_normal_cdf
 
 __all__ = [
@@ -61,6 +62,9 @@ __all__ = [
 ]
 
 _ASYMPTOTIC_MIN_N = 80  # sample size at which the normal limit takes over
+
+# the spellings of ``simulate_p_value`` in the CLI and scenario files
+_SIMULATE_FLAGS = {"auto": None, "true": True, "false": False}
 
 _TIES_WARNING = ("sample contains tied values; spacing estimates are only "
                  "defined for windows wider than the tie runs")
@@ -160,8 +164,6 @@ def empirical_null_loglik(x: "Sample | np.ndarray", family: str, params) -> floa
 
 def statistic_at(x: "Sample | np.ndarray", family: str, params, m: int) -> float:
     """KL test statistic at a caller-chosen window (no selection rule)."""
-    from .spacing import vasicek_estimate
-
     s = as_sample(x)
     loglik = empirical_null_loglik(s, family, params)
     return -vasicek_estimate(s, m) - loglik
@@ -342,7 +344,8 @@ def monte_carlo_p_value(observed: float, family: str, params, n: int, *,
     if ignored == B:
         raise EstimationError(
             "every Monte-Carlo replicate was discarded (no admissible "
-            "window); the null model cannot be simulated at this sample size"
+            "window, or a failed refit); the null model cannot be simulated "
+            "at this sample size"
         )
     p = float((stats[ok] > observed).sum() / (B - ignored))
     return p, ignored
@@ -395,10 +398,8 @@ def vs_test(x: "Sample | np.ndarray", family: str,
         estimate = None
         refit = False
     else:
-        fam.validate_fit_data(s.values)
-        params = fam.fit(s.values)
-        estimate = dist.FitResult(family_id=fam.family_id, params=params,
-                                  provenance="mle")
+        estimate = dist.fit_mle(fam.family_id, s)
+        params = estimate.params
         refit = True
 
     delta = fam.default_delta if opts.delta is None else float(opts.delta)
@@ -415,7 +416,7 @@ def vs_test(x: "Sample | np.ndarray", family: str,
         if ignored:
             warnings.append(
                 f"{ignored} of {int(opts.B)} null replicates had no "
-                f"admissible window and were ignored")
+                f"admissible window or a failed refit and were ignored")
         B_used: int | None = int(opts.B)
     else:
         p = asymptotic_p_value(statistic, m_hat, s.n)

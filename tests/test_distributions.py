@@ -312,7 +312,8 @@ def test_mle_is_a_stationary_point(fid):
             assert score <= base + 1e-9
 
 
-@pytest.mark.parametrize("fid", ["uniform", "normal", "pareto", "gamma", "weibull", "beta"])
+@pytest.mark.parametrize("fid", ["uniform", "normal", "lognormal", "pareto", "gamma",
+                                 "weibull", "laplace", "beta"])
 def test_mle_degenerate_data(fid):
     value = 0.3 if fid == "beta" else 2.0
     with pytest.raises(EstimationError):
@@ -338,8 +339,10 @@ def test_fit_rejects_out_of_support_data(fid, bad):
 # row-wise batch helpers (Monte-Carlo internals)
 
 
-@pytest.mark.parametrize("fid", ["normal", "exponential", "pareto", "weibull", "gamma", "beta"])
+@pytest.mark.parametrize("fid", sorted(SCIPY_ORACLE))
 def test_fit_rows_matches_per_row_fit(fid):
+    # One estimator per family: a single-sample fit is its row of fit_rows,
+    # bit for bit.
     params = SCIPY_ORACLE[fid][0]
     rng = np.random.default_rng(103)
     X = np.stack([sample(fid, params, 60, rng) for _ in range(12)])
@@ -347,7 +350,37 @@ def test_fit_rows_matches_per_row_fit(fid):
     assert ok.all()
     for i in range(X.shape[0]):
         single = fit_mle(fid, X[i]).params
-        assert np.allclose(P[i], single, rtol=1e-9, atol=1e-9)
+        assert np.array_equal(P[i], single)
+
+
+# fit_mle parameters as float.hex on fixed samples, compared with ==.  For
+# the pareto sample of seed 42 the exact shape 1/(mean log x - log min x) is
+# 3.0644422907075379348..., half an ulp above the pinned value.
+_PIN_DRAWS = {
+    "uniform": lambda g: g.uniform(-1.0, 3.0, 20),
+    "normal": lambda g: g.normal(1.0, 2.0, 20),
+    "lognormal": lambda g: g.lognormal(0.0, 1.0, 20),
+    "exponential": lambda g: g.exponential(1.3, 20),
+    "pareto": lambda g: 1.0 + g.pareto(3.0, 20),
+    "laplace": lambda g: g.laplace(0.0, 1.0, 20),
+}
+CLOSED_FORM_PINS = [
+    ("uniform", 11, ("-0x1.c53eb27a4d78cp-1", "0x1.658b4e998245ap+1")),
+    ("normal", 12, ("0x1.6215258572e52p+0", "0x1.edf4607cf6254p+0")),
+    ("lognormal", 13, ("0x1.6067d9c759fbap-3", "0x1.28c316a324ef8p+0")),
+    ("exponential", 14, ("0x1.5e7771a033af5p-1",)),
+    ("pareto", 15, ("0x1.84852f4b73c19p+1", "0x1.008888c707880p+0")),
+    ("pareto", 42, ("0x1.883fa51d88bacp+1", "0x1.0614e9060bdeep+0")),
+    ("laplace", 16, ("-0x1.62e8bd5c1b0e0p-9", "0x1.28d3231a30ceep+0")),
+]
+
+
+@pytest.mark.parametrize("fid, seed, want", CLOSED_FORM_PINS,
+                         ids=[f"{fid}-{seed}" for fid, seed, _ in CLOSED_FORM_PINS])
+def test_closed_form_mle_pinned(fid, seed, want):
+    x = _PIN_DRAWS[fid](np.random.default_rng(seed))
+    got = tuple(float(v).hex() for v in fit_mle(fid, x).params)
+    assert got == want
 
 
 def scipy_mle(fid, x):

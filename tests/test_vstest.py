@@ -306,7 +306,8 @@ def test_monte_carlo_all_replicates_discarded():
         [7.284056079172491e-05, 0.0057410230065873605, 0.058183585655950006,
          0.9666634208773721]
     )
-    with pytest.raises(EstimationError, match="discarded"):
+    with pytest.raises(EstimationError,
+                       match=r"discarded \(no admissible window, or a failed refit\)"):
         vs_test(x, "gamma", fixed_params=(0.02, 1.0), B=8, seed=0)
 
 
