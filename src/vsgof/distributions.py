@@ -9,8 +9,9 @@ that fails or is degenerate.  Every single-sample fit is row 0 of
 Six families have textbook closed forms; gamma, weibull and beta run a
 Newton iteration as array code over the rows not yet converged (profile
 Newton in the shape, damped Newton for beta).  Fisher's ``fit_rows`` loops
-its scalar damped Newton over the rows.  Digamma, trigamma and log-gamma
-come from ``scipy.special``.
+its scalar damped Newton over the rows.  The standard normal CDF and its
+inverse (``ndtr``, ``ndtri``), digamma, trigamma and log-gamma come from
+``scipy.special``.
 
 Families are addressed either by id ("normal") or by the d-prefixed call
 name ("dnorm").  Parameter conventions:
@@ -43,10 +44,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _scipy_special
-from scipy.special import gammaln, polygamma, psi
+from scipy.special import (betainc, betaincinv, gammainc, gammaincinv, gammaln,
+                           ndtr, ndtri, polygamma, psi)
 
-from . import special
 from .errors import CapabilityError, DataError, EstimationError, ParameterError
 from .sample import Sample, as_sample
 
@@ -70,9 +70,6 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _TINY = np.finfo(float).tiny
-
-_phi_vec = np.vectorize(special.std_normal_cdf, otypes=[float])
-_phi_inv_vec = np.vectorize(special.std_normal_quantile, otypes=[float])
 
 
 def _lbeta(a, b):
@@ -266,11 +263,11 @@ class _Normal(_Family):
 
     def cdf(self, params, x):
         mu, sd = params[0], params[1]
-        return _phi_vec((np.asarray(x, dtype=float) - mu) / sd)
+        return ndtr((np.asarray(x, dtype=float) - mu) / sd)
 
     def quantile(self, params, q):
         mu, sd = params[0], params[1]
-        return mu + sd * _phi_inv_vec(np.asarray(q, dtype=float))
+        return mu + sd * ndtri(np.asarray(q, dtype=float))
 
     def sample(self, params, size, rng):
         mu, sd = float(params[0]), float(params[1])
@@ -316,11 +313,11 @@ class _LogNormal(_Family):
         pos = x > 0
         with np.errstate(divide="ignore", invalid="ignore"):
             z = (np.log(np.where(pos, x, 1.0)) - mu) / sd
-        return np.where(pos, _phi_vec(z), 0.0)
+        return np.where(pos, ndtr(z), 0.0)
 
     def quantile(self, params, q):
         mu, sd = params[0], params[1]
-        return np.exp(mu + sd * _phi_inv_vec(np.asarray(q, dtype=float)))
+        return np.exp(mu + sd * ndtri(np.asarray(q, dtype=float)))
 
     def sample(self, params, size, rng):
         mu, sd = float(params[0]), float(params[1])
@@ -400,11 +397,11 @@ class _Gamma(_Family):
     def cdf(self, params, x):
         a, rate = params[0], params[1]
         x = np.asarray(x, dtype=float)
-        return _scipy_special.gammainc(a, rate * np.maximum(x, 0.0))
+        return gammainc(a, rate * np.maximum(x, 0.0))
 
     def quantile(self, params, q):
         a, rate = params[0], params[1]
-        return _scipy_special.gammaincinv(a, np.asarray(q, dtype=float)) / rate
+        return gammaincinv(a, np.asarray(q, dtype=float)) / rate
 
     def sample(self, params, size, rng):
         a, rate = float(params[0]), float(params[1])
@@ -584,12 +581,12 @@ class _Fisher(_Family):
         x = np.asarray(x, dtype=float)
         xp = np.maximum(x, 0.0)
         w = d1 * xp / (d1 * xp + d2)
-        return _scipy_special.betainc(0.5 * np.asarray(d1), 0.5 * np.asarray(d2), w)
+        return betainc(0.5 * np.asarray(d1), 0.5 * np.asarray(d2), w)
 
     def quantile(self, params, q):
         d1, d2 = params[0], params[1]
-        y = _scipy_special.betaincinv(0.5 * np.asarray(d1), 0.5 * np.asarray(d2),
-                                      np.asarray(q, dtype=float))
+        y = betaincinv(0.5 * np.asarray(d1), 0.5 * np.asarray(d2),
+                       np.asarray(q, dtype=float))
         with np.errstate(divide="ignore", invalid="ignore"):
             return d2 * y / (d1 * (1.0 - y))
 
@@ -746,11 +743,11 @@ class _Beta(_Family):
     def cdf(self, params, x):
         a, b = params[0], params[1]
         x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-        return _scipy_special.betainc(a, b, x)
+        return betainc(a, b, x)
 
     def quantile(self, params, q):
         a, b = params[0], params[1]
-        return _scipy_special.betaincinv(a, b, np.asarray(q, dtype=float))
+        return betaincinv(a, b, np.asarray(q, dtype=float))
 
     def sample(self, params, size, rng):
         a, b = float(params[0]), float(params[1])

@@ -12,6 +12,7 @@ Monte-Carlo replication follows the seeded chunk contract of
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,9 @@ __all__ = [
 _LOG_CLAMP = 1e-15  # keep AD logarithms finite at the PIT boundaries
 
 
-@dataclass(frozen=True)
+# kept small (slots, test_id shared with the kernel table): callers may
+# hold many reports
+@dataclass(frozen=True, slots=True)
 class EdfTestReport:
     family_id: str
     n: int
@@ -78,7 +81,7 @@ _KERNELS = {"ks": _ks_rows, "cvm": _cvm_rows, "ad": _ad_rows}
 
 
 def _resolve_test(test_id: str):
-    key = str(test_id).strip().lower()
+    key = sys.intern(str(test_id).strip().lower())
     if key not in _KERNELS:
         raise ParameterError(
             f"unknown EDF test {test_id!r}; choose one of: ks, cvm, ad")

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import psi
+from scipy.special import ndtr, psi
 
 from . import distributions as dist
 from ._mc import check_count, check_seed, seeded_map
@@ -44,7 +44,6 @@ from .errors import (ConstraintError, DataError, EstimationError,
 from .sample import Sample, as_sample
 from .spacing import (WindowScan, batch_window_values, max_valid_window,
                       vasicek_estimate)
-from .special import std_normal_cdf
 
 __all__ = [
     "TestOptions",
@@ -138,9 +137,9 @@ def candidate_windows(n: int, delta: float, extend: bool = False) -> np.ndarray:
     if extend:
         upper = top
     else:
-        upper = min(int(math.floor(n ** (1.0 / 3.0 - delta) + 1e-9)), top)
-        if upper < 1:  # unreachable for n >= 3, kept as a defensive fallback
-            upper = 1
+        # n ** 1 = n > top already, so a larger exponent (delta -> -inf)
+        # changes nothing but could overflow the float power
+        upper = min(int(math.floor(n ** min(1.0 / 3.0 - delta, 1.0) + 1e-9)), top)
     return np.arange(1, upper + 1)
 
 
@@ -274,10 +273,11 @@ def asymptotic_p_value(statistic: float, m: int, n: int) -> float:
     """Upper-tail p-value from the normal limit of the statistic.
 
     sqrt(6 m n) * (I - b(m, n)) is asymptotically standard normal, so
-    p = 1 - Phi(sqrt(6 m n) * (I - b(m, n))).
+    p = 1 - Phi(z) with z = sqrt(6 m n) * (I - b(m, n)), computed as Phi(-z)
+    so that the far upper tail keeps its relative precision.
     """
     z = math.sqrt(6.0 * m * n) * (statistic - bias_b(m, n))
-    return 1.0 - std_normal_cdf(z)
+    return float(ndtr(-z))
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,15 @@ def test_invalid_thread_count_exits_four(tmp_path, capsys):
     assert code == 4 and "threads" in err
 
 
+def test_very_negative_delta_runs(capsys, monkeypatch):
+    x = np.random.default_rng(58).normal(size=40)
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(repr(float(v)) for v in x)))
+    code, out, _ = run(capsys, "test", "-", "--family", "dnorm", "--delta=-1000",
+                       "--seed", "1", "--B", "50", "--json", "-")
+    assert code == 0
+    assert json.loads(out[out.index("\n{") + 1:])["delta"] == -1000.0
+
+
 def test_missing_data_file(capsys):
     code, _, err = run(capsys, "entropy", "/no/such/file.txt", "--window", "1")
     assert code == 3

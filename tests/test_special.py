@@ -1,23 +1,27 @@
 """Oracle tests for the special functions the library computes with.
 
-Digamma and log-gamma come from ``scipy.special`` (``psi``, ``gammaln``):
-they are checked here against exact identities, ``math.lgamma`` and an
+Digamma, log-gamma and the standard normal CDF and its inverse come from
+``scipy.special`` (``psi``, ``gammaln``, ``ndtr``, ``ndtri``).  Digamma and
+log-gamma are checked against exact identities, ``math.lgamma`` and an
 asymptotic-series oracle, to the accuracy the bias constant and the MLE
-fits rely on.  The harmonic prefix table of ``bias_b``, the log-beta of the
-beta and Fisher densities, and the scalar normal CDF and its inverse are
-the library's own; scipy.special is their independent reference.
+fits rely on.  Phi and its inverse are checked through the normal and
+lognormal families' ``cdf`` and ``quantile``, against ``math.erfc`` and
+``statistics.NormalDist``.  The harmonic prefix table of ``bias_b`` and the
+log-beta of the beta and Fisher densities are the library's own;
+scipy.special is their independent reference.
 """
 
 import math
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 import scipy.special as sps
 from scipy.special import gammaln, psi
 
+from vsgof import ParameterError, cdf, quantile
 from vsgof.distributions import _lbeta
-from vsgof.special import std_normal_cdf, std_normal_quantile
 from vsgof.vstest import harmonic_prefix
 
 EULER_GAMMA = 0.5772156649015329
@@ -150,45 +154,60 @@ def test_log_beta_symmetry_and_reference():
 
 
 # ---------------------------------------------------------------------------
-# standard normal cdf / quantile
+# standard normal cdf / quantile (scipy.special.ndtr / ndtri behind the
+# normal and lognormal families)
+
+
+def _phi(z: float) -> float:
+    return float(cdf("normal", (0.0, 1.0), z))
+
+
+def _phi_inv(p: float) -> float:
+    return float(quantile("normal", (0.0, 1.0), p))
+
+
+def _phi_oracle(z: float) -> float:
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 def test_std_normal_cdf_center_and_symmetry():
-    assert std_normal_cdf(0.0) == 0.5
+    assert _phi(0.0) == 0.5
     rng = np.random.default_rng(4)
     for z in rng.uniform(0.0, 8.0, size=200):
-        lo, hi = std_normal_cdf(-z), std_normal_cdf(z)
+        lo, hi = _phi(-z), _phi(z)
         assert lo + hi == pytest.approx(1.0, abs=1e-14)
 
 
 def test_std_normal_cdf_frozen_values():
-    assert std_normal_cdf(1.96) == pytest.approx(0.9750021048517794, abs=1e-13)
-    assert std_normal_cdf(-1.6448536269514722) == pytest.approx(0.05, abs=1e-13)
+    assert _phi(1.96) == pytest.approx(0.9750021048517794, abs=1e-13)
+    assert _phi(-1.6448536269514722) == pytest.approx(0.05, abs=1e-13)
 
 
 def test_std_normal_cdf_reference_grid():
     zs = np.concatenate([np.linspace(-37.0, 37.0, 149), [-8.3, -2.7, 0.1, 5.25]])
+    mu, s = 0.3, 1.7
     for z in zs:
-        assert std_normal_cdf(float(z)) == pytest.approx(
-            float(sps.ndtr(z)), rel=1e-11, abs=1e-300
-        )
+        z = float(z)
+        assert _phi(z) == pytest.approx(_phi_oracle(z), rel=1e-11, abs=1e-300)
+        # the lognormal CDF runs on the same Phi
+        got = float(cdf("lognormal", (mu, s), math.exp(z)))
+        assert got == pytest.approx(_phi_oracle((z - mu) / s), rel=1e-11, abs=1e-300)
 
 
 def test_std_normal_cdf_tails_and_infinities():
-    assert std_normal_cdf(-40.0) == 0.0
-    assert std_normal_cdf(40.0) == 1.0
-    assert std_normal_cdf(float("-inf")) == 0.0
-    assert std_normal_cdf(float("inf")) == 1.0
-    with pytest.raises(ValueError):
-        std_normal_cdf(float("nan"))
+    assert _phi(-40.0) == 0.0
+    assert _phi(40.0) == 1.0
+    assert _phi(float("-inf")) == 0.0
+    assert _phi(float("inf")) == 1.0
+    assert math.isnan(_phi(float("nan")))
 
 
 def test_std_normal_quantile_known_points():
-    assert std_normal_quantile(0.5) == 0.0
-    assert std_normal_quantile(0.975) == pytest.approx(1.959963984540054, abs=1e-12)
-    assert std_normal_quantile(0.05) == pytest.approx(-1.6448536269514722, abs=1e-12)
-    assert std_normal_quantile(0.0) == float("-inf")
-    assert std_normal_quantile(1.0) == float("inf")
+    assert _phi_inv(0.5) == 0.0
+    assert _phi_inv(0.975) == pytest.approx(1.959963984540054, abs=1e-12)
+    assert _phi_inv(0.05) == pytest.approx(-1.6448536269514722, abs=1e-12)
+    assert _phi_inv(0.0) == float("-inf")
+    assert _phi_inv(1.0) == float("inf")
 
 
 def test_std_normal_quantile_roundtrip():
@@ -196,18 +215,18 @@ def test_std_normal_quantile_roundtrip():
         [np.linspace(1e-6, 1.0 - 1e-6, 101), [1e-12, 1e-9, 1.0 - 1e-12]]
     )
     for p in ps:
-        z = std_normal_quantile(float(p))
-        assert std_normal_cdf(z) == pytest.approx(float(p), rel=1e-10)
+        z = _phi_inv(float(p))
+        assert _phi(z) == pytest.approx(float(p), rel=1e-10, abs=0.0)
 
 
 def test_std_normal_quantile_reference_grid():
+    # statistics.NormalDist implements Wichura's AS 241, apart from scipy
+    ref = NormalDist()
     for p in np.linspace(0.001, 0.999, 97):
-        assert std_normal_quantile(float(p)) == pytest.approx(
-            float(sps.ndtri(p)), abs=1e-11
-        )
+        assert _phi_inv(float(p)) == pytest.approx(ref.inv_cdf(float(p)), abs=1e-11)
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan")])
 def test_std_normal_quantile_domain(bad):
-    with pytest.raises(ValueError):
-        std_normal_quantile(bad)
+    with pytest.raises(ParameterError):
+        quantile("normal", (0.0, 1.0), bad)

@@ -60,6 +60,9 @@ CONSTRAINT_SAMPLE = np.array(
         (33, 1.0 / 12.0, True, list(range(1, 17))),  # extend: all valid m
         (9, -1.0 / 6.0, False, [1, 2, 3]),  # sqrt(9) = 3
         (7, -0.5, False, [1, 2, 3]),  # capped at (n-1)//2
+        (3, -math.inf, False, [1]),
+        (60, -1000.0, False, list(range(1, 30))),  # 60**1000 overflows a float
+        (60, -math.inf, False, list(range(1, 30))),
     ],
 )
 def test_candidate_windows_exact_ranges(n, delta, extend, want):
@@ -75,6 +78,16 @@ def test_candidate_windows_match_oracle():
         ms = candidate_windows(n, delta, extend)
         assert ms[0] == 1
         assert ms[-1] == window_bound_oracle(n, delta, extend)
+
+
+@pytest.mark.parametrize("delta", [-1000.0, -math.inf])
+def test_vs_test_very_negative_delta(delta):
+    x = np.random.default_rng(23).normal(size=30)
+    rep = vs_test(x, "normal", delta=delta, seed=1, B=50)
+    assert rep.delta == delta
+    assert 1 <= rep.optimal_window <= 14
+    m, scan, _ = select_window(x, "normal", (0.0, 1.0), delta=delta)
+    assert list(scan.windows) == list(range(1, 15)) and 1 <= m <= 14
 
 
 def test_candidate_windows_domain():
@@ -109,11 +122,15 @@ def test_statistic_at_four_point_uniform():
     assert got == pytest.approx(0.05889151782819191, abs=1e-14)
 
 
-def test_statistic_location_scale_invariance_composite_normal():
-    rng = np.random.default_rng(21)
-    x = rng.normal(size=60)
-    base = vs_test(x, "normal", simulate_p_value=False)
-    moved = vs_test(4.0 + 2.5 * x, "normal", simulate_p_value=False)
+@pytest.mark.parametrize(
+    "family,shift",
+    [("normal", 4.0), ("laplace", 4.0), ("uniform", 4.0), ("exponential", 0.0)],
+)
+def test_statistic_location_scale_invariance_composite(family, shift):
+    # x -> shift + 2.5 x; exponential is a scale family only
+    x = getattr(np.random.default_rng(21), family)(size=60)
+    base = vs_test(x, family, simulate_p_value=False)
+    moved = vs_test(shift + 2.5 * x, family, simulate_p_value=False)
     assert moved.statistic == pytest.approx(base.statistic, abs=1e-12)
     assert moved.optimal_window == base.optimal_window
     assert moved.p_value == pytest.approx(base.p_value, abs=1e-12)
@@ -253,6 +270,14 @@ def test_asymptotic_p_value_reference_points():
     assert asymptotic_p_value(stat, 3, 100) == pytest.approx(0.05, abs=1e-12)
     # very large statistics are off the normal scale entirely
     assert asymptotic_p_value(bias_b(1, 50) + 100.0, 1, 50) == 0.0
+
+
+@pytest.mark.parametrize("z", [8.0, 10.0, 20.0])
+def test_asymptotic_p_value_far_upper_tail(z):
+    # 1 - Phi(z) rounds to 0 from z ~ 8.3; the tail itself is representable
+    stat = bias_b(3, 100) + z / math.sqrt(6.0 * 3 * 100)
+    want = 0.5 * math.erfc(z / math.sqrt(2.0))
+    assert asymptotic_p_value(stat, 3, 100) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
