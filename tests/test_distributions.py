@@ -5,6 +5,7 @@ quantiles; the library itself implements every family from scratch.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,26 +114,30 @@ def test_param_labels():
 # parameter validation
 
 
-@pytest.mark.parametrize(
-    "fid,bad",
-    [
-        ("uniform", (3.0, 1.0)),
-        ("uniform", (1.0, 1.0)),
-        ("normal", (0.0, 0.0)),
-        ("normal", (0.0, -1.0)),
-        ("lognormal", (0.0, 0.0)),
-        ("exponential", (-2.0,)),
-        ("exponential", (0.0,)),
-        ("gamma", (0.0, 1.0)),
-        ("weibull", (1.0, -1.0)),
-        ("pareto", (-1.0, 1.0)),
-        ("fisher", (0.0, 2.0)),
-        ("laplace", (0.0, 0.0)),
-        ("beta", (1.0, 0.0)),
-    ],
-)
-def test_invalid_parameter_values(fid, bad):
-    with pytest.raises(ParameterError):
+# (family, parameters, the exact message); the ids keep the historical
+# "<family>-bad<i>" form
+BAD_PARAMS = [
+    ("uniform", (3.0, 1.0), "uniform requires Min < Max, got [3.0, 1.0]"),
+    ("uniform", (1.0, 1.0), "uniform requires Min < Max, got [1.0, 1.0]"),
+    ("normal", (0.0, 0.0), "normal requires St. dev. > 0, got 0.0"),
+    ("normal", (0.0, -1.0), "normal requires St. dev. > 0, got -1.0"),
+    ("lognormal", (0.0, 0.0), "lognormal requires Scale > 0, got 0.0"),
+    ("exponential", (-2.0,), "exponential requires Rate > 0, got -2.0"),
+    ("exponential", (0.0,), "exponential requires Rate > 0, got 0.0"),
+    ("gamma", (0.0, 1.0), "gamma requires Shape > 0 and Rate > 0, got [0.0, 1.0]"),
+    ("weibull", (1.0, -1.0),
+     "weibull requires Shape > 0 and Scale > 0, got [1.0, -1.0]"),
+    ("pareto", (-1.0, 1.0), "pareto requires mu > 0 and c > 0, got [-1.0, 1.0]"),
+    ("fisher", (0.0, 2.0), "fisher requires df1 > 0 and df2 > 0, got [0.0, 2.0]"),
+    ("laplace", (0.0, 0.0), "laplace requires Scale > 0, got 0.0"),
+    ("beta", (1.0, 0.0), "beta requires Shape1 > 0 and Shape2 > 0, got [1.0, 0.0]"),
+]
+
+
+@pytest.mark.parametrize("fid,bad,message", BAD_PARAMS,
+                         ids=[f"{f}-bad{i}" for i, (f, _, _) in enumerate(BAD_PARAMS)])
+def test_invalid_parameter_values(fid, bad, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
         validate_params(fid, bad)
 
 
@@ -320,19 +325,24 @@ def test_mle_degenerate_data(fid):
         fit_mle(fid, np.full(4, value))
 
 
-@pytest.mark.parametrize(
-    "fid,bad",
-    [
-        ("lognormal", np.array([1.0, -2.0, 3.0])),
-        ("exponential", np.array([-1.0, 2.0])),
-        ("gamma", np.array([0.0, 1.0, 2.0])),
-        ("beta", np.array([0.2, 0.5, 1.0])),
-        ("pareto", np.array([0.0, 1.0, 2.0])),
-    ],
-)
-def test_fit_rejects_out_of_support_data(fid, bad):
-    with pytest.raises(DataError):
-        fit_mle(fid, bad)
+_POSITIVE = "requires strictly positive observations; violations at positions"
+BAD_FIT_DATA = [
+    ("lognormal", [1.0, -2.0, 3.0], f"lognormal {_POSITIVE} [1]"),
+    ("exponential", [-1.0, 2.0], f"exponential {_POSITIVE} [0]"),
+    ("gamma", [0.0, 1.0, 2.0], f"gamma {_POSITIVE} [0]"),
+    ("beta", [0.2, 0.5, 1.0],
+     "beta requires observations strictly inside (0, 1); violations at positions [2]"),
+    ("pareto", [0.0, 1.0, 2.0], f"pareto {_POSITIVE} [0]"),
+    ("weibull", [2.0, -0.5, 0.0, 3.0], f"weibull {_POSITIVE} [1, 2]"),
+    ("fisher", [1.0, 0.0, 2.5], f"fisher {_POSITIVE} [1]"),
+]
+
+
+@pytest.mark.parametrize("fid,bad,message", BAD_FIT_DATA,
+                         ids=[f"{f}-bad{i}" for i, (f, _, _) in enumerate(BAD_FIT_DATA)])
+def test_fit_rejects_out_of_support_data(fid, bad, message):
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        fit_mle(fid, np.array(bad))
 
 
 # ---------------------------------------------------------------------------
