@@ -31,11 +31,15 @@ laplace     dlaplace                 Location, Scale
 beta        dbeta                    Shape1, Shape2
 ==========  =======================  ==========================
 
-Sampling draws from a caller-supplied ``numpy.random.Generator``; the five
-families whose quantile has an elementary form (uniform, exponential,
-pareto, laplace, weibull) sample by inverse CDF, normal/lognormal transform
-standard normals, and gamma/beta/fisher use the generator's native
-rejection/ratio samplers.
+Parameter and support constraints are class data: ``positive_params``
+names the parameters that must be > 0 and ``fit_interval`` the open
+interval fitted data must lie in, and the base class builds every check
+and message from them; only uniform adds its own ``Min < Max`` check.
+
+Sampling draws from a caller-supplied ``numpy.random.Generator``.  The
+base class samples by inverse CDF (exponential, weibull, pareto, laplace);
+uniform scales raw uniforms, normal/lognormal transform standard normals,
+and gamma/beta/fisher use the generator's native rejection/ratio samplers.
 """
 
 from __future__ import annotations
@@ -79,6 +83,12 @@ def _lbeta(a, b):
 def _spread(X: np.ndarray) -> np.ndarray:
     """Rows whose observations are not all equal."""
     return X.max(axis=1) > X.min(axis=1)
+
+
+def _positive(u: np.ndarray) -> np.ndarray:
+    # keep inverse-CDF draws strictly inside (0, 1): Generator.random() is
+    # [0, 1), only the zero endpoint needs nudging
+    return np.maximum(u, _TINY)
 
 
 def _profile_newton(a: np.ndarray, rows: np.ndarray, tol: np.ndarray,
@@ -132,6 +142,10 @@ class _Family:
     default_delta: float = 1.0 / 12.0
     # human description of the support, used in error messages
     support_text: str = "the real line"
+    # indices of the parameters that must be > 0
+    positive_params: tuple[int, ...] = ()
+    # open interval that data must lie in to be fitted; None: the real line
+    fit_interval: tuple[float, float] | None = None
 
     # -- validation ---------------------------------------------------------
     def validate_params(self, params) -> np.ndarray:
@@ -147,11 +161,23 @@ class _Family:
         return p
 
     def _check_params(self, p: np.ndarray) -> None:
-        raise NotImplementedError
+        pos = self.positive_params
+        if not all(p[i] > 0 for i in pos):
+            need = " and ".join(f"{self.param_names[i]} > 0" for i in pos)
+            got = p[pos[0]] if len(pos) == 1 else p.tolist()
+            raise ParameterError(f"{self.family_id} requires {need}, got {got}")
 
     def validate_fit_data(self, x: np.ndarray) -> None:
         """Support precondition for fitting (independent of parameter values)."""
-        return None
+        if self.fit_interval is None:
+            return
+        lo, hi = self.fit_interval
+        bad = np.flatnonzero((x <= lo) | (x >= hi))
+        if bad.size:
+            need = ("strictly positive observations" if hi == math.inf
+                    else f"observations strictly inside ({lo:g}, {hi:g})")
+            raise DataError(f"{self.family_id} requires {need}; "
+                            f"violations at positions {bad.tolist()[:10]}")
 
     # -- core quantities ----------------------------------------------------
     def log_density(self, params, x):
@@ -164,7 +190,8 @@ class _Family:
         raise NotImplementedError
 
     def sample(self, params, size, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
+        """Inverse-CDF draw; families with a faster exact sampler override it."""
+        return self.quantile(params, _positive(rng.random(size)))
 
     def closed_form_entropy(self, params) -> float:
         raise CapabilityError(
@@ -199,17 +226,10 @@ class _Family:
         return P[0]
 
 
-def _positive(u: np.ndarray) -> np.ndarray:
-    # keep inverse-CDF draws strictly inside (0, 1): Generator.random() is
-    # [0, 1), only the zero endpoint needs nudging
-    return np.maximum(u, _TINY)
-
-
 class _Uniform(_Family):
     family_id = "uniform"
     call = "dunif"
     param_names = ("Min", "Max")
-    default_delta = 1.0 / 12.0
     support_text = "the interval [Min, Max]"
 
     def _check_params(self, p):
@@ -249,11 +269,7 @@ class _Normal(_Family):
     family_id = "normal"
     call = "dnorm"
     param_names = ("Mean", "St. dev.")
-    default_delta = 1.0 / 12.0
-
-    def _check_params(self, p):
-        if not p[1] > 0:
-            raise ParameterError(f"normal requires St. dev. > 0, got {p[1]}")
+    positive_params = (1,)
 
     def log_density(self, params, x):
         mu, sd = params[0], params[1]
@@ -287,15 +303,9 @@ class _LogNormal(_Family):
     family_id = "lognormal"
     call = "dlnorm"
     param_names = ("Location", "Scale")
-    default_delta = 1.0 / 12.0
     support_text = "positive reals"
-
-    def _check_params(self, p):
-        if not p[1] > 0:
-            raise ParameterError(f"lognormal requires Scale > 0, got {p[1]}")
-
-    def validate_fit_data(self, x):
-        _require_all_positive(self.family_id, x)
+    positive_params = (1,)
+    fit_interval = (0.0, math.inf)
 
     def log_density(self, params, x):
         mu, sd = params[0], params[1]
@@ -310,10 +320,9 @@ class _LogNormal(_Family):
     def cdf(self, params, x):
         mu, sd = params[0], params[1]
         x = np.asarray(x, dtype=float)
-        pos = x > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = (np.log(np.where(pos, x, 1.0)) - mu) / sd
-        return np.where(pos, ndtr(z), 0.0)
+        below = x <= 0  # False for NaN, which stays NaN
+        z = (np.log(np.where(below, 1.0, x)) - mu) / sd
+        return np.where(below, 0.0, ndtr(z))
 
     def quantile(self, params, q):
         mu, sd = params[0], params[1]
@@ -334,15 +343,9 @@ class _Exponential(_Family):
     family_id = "exponential"
     call = "dexp"
     param_names = ("Rate",)
-    default_delta = 1.0 / 12.0
     support_text = "non-negative reals"
-
-    def _check_params(self, p):
-        if not p[0] > 0:
-            raise ParameterError(f"exponential requires Rate > 0, got {p[0]}")
-
-    def validate_fit_data(self, x):
-        _require_all_positive(self.family_id, x)
+    positive_params = (0,)
+    fit_interval = (0.0, math.inf)
 
     def log_density(self, params, x):
         lam = params[0]
@@ -352,16 +355,13 @@ class _Exponential(_Family):
     def cdf(self, params, x):
         lam = params[0]
         x = np.asarray(x, dtype=float)
-        return np.where(x >= 0, -np.expm1(-lam * np.maximum(x, 0.0)), 0.0)
+        return np.where(x < 0, 0.0, -np.expm1(-lam * np.maximum(x, 0.0)))
 
     def quantile(self, params, q):
         lam = params[0]
         q = np.asarray(q, dtype=float)
         with np.errstate(divide="ignore"):
             return -np.log1p(-q) / lam
-
-    def sample(self, params, size, rng):
-        return self.quantile(params, _positive(rng.random(size)))
 
     def fit_rows(self, X):
         mean = X.mean(axis=1)
@@ -375,15 +375,9 @@ class _Gamma(_Family):
     family_id = "gamma"
     call = "dgamma"
     param_names = ("Shape", "Rate")
-    default_delta = 1.0 / 12.0
     support_text = "positive reals"
-
-    def _check_params(self, p):
-        if not (p[0] > 0 and p[1] > 0):
-            raise ParameterError(f"gamma requires Shape > 0 and Rate > 0, got {p.tolist()}")
-
-    def validate_fit_data(self, x):
-        _require_all_positive(self.family_id, x)
+    positive_params = (0, 1)
+    fit_interval = (0.0, math.inf)
 
     def log_density(self, params, x):
         a, rate = params[0], params[1]
@@ -432,13 +426,8 @@ class _Weibull(_Family):
     param_names = ("Shape", "Scale")
     default_delta = 2.0 / 15.0
     support_text = "positive reals"
-
-    def _check_params(self, p):
-        if not (p[0] > 0 and p[1] > 0):
-            raise ParameterError(f"weibull requires Shape > 0 and Scale > 0, got {p.tolist()}")
-
-    def validate_fit_data(self, x):
-        _require_all_positive(self.family_id, x)
+    positive_params = (0, 1)
+    fit_interval = (0.0, math.inf)
 
     def log_density(self, params, x):
         a, b = params[0], params[1]
@@ -454,16 +443,13 @@ class _Weibull(_Family):
         a, b = params[0], params[1]
         x = np.asarray(x, dtype=float)
         z = np.maximum(x, 0.0) / b
-        return np.where(x >= 0, -np.expm1(-(z ** a)), 0.0)
+        return np.where(x < 0, 0.0, -np.expm1(-(z ** a)))
 
     def quantile(self, params, q):
         a, b = params[0], params[1]
         q = np.asarray(q, dtype=float)
         with np.errstate(divide="ignore"):
             return b * (-np.log1p(-q)) ** (1.0 / a)
-
-    def sample(self, params, size, rng):
-        return self.quantile(params, _positive(rng.random(size)))
 
     def fit_rows(self, X):
         # Profile on the shape: scale(a) = (mean x^a)^(1/a); the profile score
@@ -499,15 +485,9 @@ class _Pareto(_Family):
     family_id = "pareto"
     call = "dpareto"
     param_names = ("mu", "c")
-    default_delta = 1.0 / 12.0
     support_text = "reals >= c"
-
-    def _check_params(self, p):
-        if not (p[0] > 0 and p[1] > 0):
-            raise ParameterError(f"pareto requires mu > 0 and c > 0, got {p.tolist()}")
-
-    def validate_fit_data(self, x):
-        _require_all_positive(self.family_id, x)
+    positive_params = (0, 1)
+    fit_interval = (0.0, math.inf)
 
     def log_density(self, params, x):
         mu, c = params[0], params[1]
@@ -521,19 +501,14 @@ class _Pareto(_Family):
     def cdf(self, params, x):
         mu, c = params[0], params[1]
         x = np.asarray(x, dtype=float)
-        inside = x >= c
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = mu * (np.log(np.asarray(c)) - np.log(np.where(x > 0, x, 1.0)))
-        return np.where(inside, -np.expm1(t), 0.0)
+        t = mu * (np.log(np.asarray(c)) - np.log(np.maximum(x, c)))
+        return np.where(x < c, 0.0, -np.expm1(t))
 
     def quantile(self, params, q):
         mu, c = params[0], params[1]
         q = np.asarray(q, dtype=float)
         with np.errstate(divide="ignore"):
             return c * (1.0 - q) ** (-1.0 / mu)
-
-    def sample(self, params, size, rng):
-        return self.quantile(params, rng.random(size))
 
     def fit_rows(self, X):
         c = X.min(axis=1)
@@ -554,13 +529,8 @@ class _Fisher(_Family):
     param_names = ("df1", "df2")
     default_delta = 2.0 / 15.0
     support_text = "positive reals"
-
-    def _check_params(self, p):
-        if not (p[0] > 0 and p[1] > 0):
-            raise ParameterError(f"fisher requires df1 > 0 and df2 > 0, got {p.tolist()}")
-
-    def validate_fit_data(self, x):
-        _require_all_positive(self.family_id, x)
+    positive_params = (0, 1)
+    fit_interval = (0.0, math.inf)
 
     def log_density(self, params, x):
         d1, d2 = params[0], params[1]
@@ -678,11 +648,7 @@ class _Laplace(_Family):
     family_id = "laplace"
     call = "dlaplace"
     param_names = ("Location", "Scale")
-    default_delta = 1.0 / 12.0
-
-    def _check_params(self, p):
-        if not p[1] > 0:
-            raise ParameterError(f"laplace requires Scale > 0, got {p[1]}")
+    positive_params = (1,)
 
     def log_density(self, params, x):
         mu, sc = params[0], params[1]
@@ -703,9 +669,6 @@ class _Laplace(_Family):
             upper = mu - sc * np.log(2.0 * (1.0 - q))
         return np.where(q < 0.5, lower, upper)
 
-    def sample(self, params, size, rng):
-        return self.quantile(params, _positive(rng.random(size)))
-
     def fit_rows(self, X):
         mu = np.median(X, axis=1)
         sc = np.abs(X - mu[:, None]).mean(axis=1)
@@ -718,18 +681,8 @@ class _Beta(_Family):
     param_names = ("Shape1", "Shape2")
     default_delta = 2.0 / 15.0
     support_text = "the open interval (0, 1)"
-
-    def _check_params(self, p):
-        if not (p[0] > 0 and p[1] > 0):
-            raise ParameterError(f"beta requires Shape1 > 0 and Shape2 > 0, got {p.tolist()}")
-
-    def validate_fit_data(self, x):
-        bad = np.flatnonzero((x <= 0.0) | (x >= 1.0))
-        if bad.size:
-            raise DataError(
-                f"beta requires observations strictly inside (0, 1); "
-                f"violations at positions {bad.tolist()[:10]}"
-            )
+    positive_params = (0, 1)
+    fit_interval = (0.0, 1.0)
 
     def log_density(self, params, x):
         a, b = params[0], params[1]
@@ -810,15 +763,6 @@ class _Beta(_Family):
         P = np.column_stack([a, b])
         P[~ok] = np.nan
         return P, ok
-
-
-def _require_all_positive(family_id: str, x: np.ndarray) -> None:
-    bad = np.flatnonzero(np.asarray(x) <= 0.0)
-    if bad.size:
-        raise DataError(
-            f"{family_id} requires strictly positive observations; "
-            f"violations at positions {bad.tolist()[:10]}"
-        )
 
 
 _FAMILIES: dict[str, _Family] = {}

@@ -51,7 +51,7 @@ from . import distributions as dist
 from ._mc import CELL_CHUNK, check_count, check_seed, seeded_map
 from .edf import edf_mc_p_value
 from .errors import DataError, ParameterError, VsgofError
-from .vstest import _SIMULATE_FLAGS, TestOptions, vs_test
+from .vstest import _SIMULATE_FLAGS, TestOptions, _check_delta, vs_test
 
 __all__ = [
     "PowerScenario",
@@ -88,7 +88,10 @@ class PowerScenario:
         if not self.name:
             raise ParameterError("scenario needs a nonempty name")
         dist.resolve_family(self.null_family)
-        dist.resolve_family(self.alt_family)
+        if self.null_params is not None:
+            dist.validate_params(self.null_family, self.null_params)
+        dist.validate_params(self.alt_family, self.alt_params)
+        _check_delta(self.delta)
         if not self.tests:
             raise ParameterError("scenario selects no tests")
         for t in self.tests:

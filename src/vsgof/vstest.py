@@ -121,6 +121,12 @@ class VsTestReport:
     warnings: tuple[str, ...]
 
 
+def _check_delta(delta) -> None:
+    """The window-range exponent must be < 1/3; None is the family default."""
+    if delta is not None and not float(delta) < 1.0 / 3.0:
+        raise ParameterError(f"delta must be < 1/3, got {delta}")
+
+
 def candidate_windows(n: int, delta: float, extend: bool = False) -> np.ndarray:
     """Candidate window range for the test's selection rule.
 
@@ -132,8 +138,7 @@ def candidate_windows(n: int, delta: float, extend: bool = False) -> np.ndarray:
     top = max_valid_window(n)
     if top < 1:
         raise DataError(f"no valid window exists for n={n} (need n >= 3)")
-    if not delta < 1.0 / 3.0:
-        raise ParameterError(f"delta must be < 1/3, got {delta}")
+    _check_delta(delta)
     if extend:
         upper = top
     else:
@@ -389,8 +394,7 @@ def vs_test(x: "Sample | np.ndarray", family: str,
     check_count(opts.B, "B")
     if opts.seed is not None:
         check_seed(opts.seed)
-    if opts.delta is not None and not float(opts.delta) < 1.0 / 3.0:
-        raise ParameterError(f"delta must be < 1/3, got {opts.delta}")
+    _check_delta(opts.delta)
 
     # null parameters: user-fixed (simple) or fitted (composite)
     if opts.fixed_params is not None:

@@ -181,6 +181,16 @@ def test_cdf_matches_scipy(fid):
 
 
 @pytest.mark.parametrize("fid", sorted(SCIPY_ORACLE))
+def test_cdf_keeps_nan(fid):
+    # NaN is not a point below the support: every family maps it to NaN
+    params, frozen, (lo, hi) = SCIPY_ORACLE[fid]
+    got = cdf(fid, params, np.array([np.nan, lo, np.nan, hi]))
+    assert np.isnan(got[[0, 2]]).all()
+    assert np.allclose(got[[1, 3]], frozen.cdf([lo, hi]), rtol=1e-9, atol=1e-10)
+    assert np.isnan(cdf(fid, params, float("nan")))
+
+
+@pytest.mark.parametrize("fid", sorted(SCIPY_ORACLE))
 def test_quantile_roundtrip(fid):
     params = SCIPY_ORACLE[fid][0]
     qs = np.linspace(0.005, 0.995, 100)

@@ -165,6 +165,12 @@ def test_edf_tests_need_simple_null():
         {"n_values": (20, True)},
         {"seed": -5},
         {"seed": 1.5},
+        {"delta": 0.5},
+        {"delta": 1.0 / 3.0},
+        {"null_params": (0.0, -1.0)},
+        {"null_params": (0.0,)},
+        {"alt_params": (0.0, 0.0)},
+        {"alt_family": "dexp", "alt_params": (-2.0,)},
     ],
 )
 def test_scenario_validation_rejects(over):

@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.special as sps
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import select_window_oracle, window_bound_oracle
+from conftest import select_window_oracle, spacing_oracle, window_bound_oracle
 
 from vsgof.errors import (
     ConstraintError,
@@ -179,6 +180,49 @@ def test_select_window_matches_bruteforce_oracle():
         assert got == want
         checked += 1
     assert checked > 300
+
+
+def _near(a, b, rtol=1e-12):
+    return abs(a - b) <= rtol * max(abs(a), abs(b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    levels=st.lists(st.integers(0, 12), min_size=4, max_size=40),
+    step=st.sampled_from([1e-3, 0.1, 0.25, 1.0, 7.0]),
+    mean=st.floats(-3.0, 3.0),
+    sd=st.floats(0.05, 5.0),
+    delta=st.floats(-0.5, 0.33),
+    extend=st.booleans(),
+    relax=st.booleans(),
+)
+def test_select_window_property_dense_ties(levels, step, mean, sd, delta,
+                                           extend, relax):
+    # data on a coarse grid, so tie runs are long and many windows have
+    # zero spacings
+    x = np.array(levels, dtype=float) * step
+    assume(np.unique(x).size >= 2)
+    loglik = empirical_null_loglik(x, "normal", (mean, sd))
+    upper = window_bound_oracle(x.size, delta, extend)
+    values = [v for v in (spacing_oracle(x, m) for m in range(1, upper + 1))
+              if v is not None]
+    # the library and the oracle sum in different orders: skip examples that
+    # a rounding difference could decide
+    if not relax:
+        assume(not any(_near(v, -loglik) for v in values))
+    best = sorted((v for v in values if relax or v <= -loglik), reverse=True)
+    assume(len(best) < 2 or not _near(best[0], best[1]))
+
+    want = select_window_oracle(x, loglik, delta, extend, relax)
+    try:
+        m_hat, _, _ = select_window(x, "normal", (mean, sd), delta=delta,
+                                    extend=extend, relax=relax)
+        got = ("ok", m_hat)
+    except TiesError:
+        got = ("ties", None)
+    except ConstraintError:
+        got = ("constraint", None)
+    assert got == want
 
 
 def test_select_window_reports_scan_and_ties_warning():
