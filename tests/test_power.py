@@ -309,3 +309,144 @@ def test_power_row_standard_error():
                    errors=0, replicates=1000)
     assert row.power_pct == 25.0
     assert row.se_pct == pytest.approx(100.0 * (0.25 * 0.75 / 1000) ** 0.5)
+
+
+# ---------------------------------------------------------------------------
+# pinned tables of the paths the shipped scenarios never reach
+#
+# (n, test, rejections, errors) per cell, recorded with each replicate run
+# as its own vs_test/edf_test call and compared with ``==``: a change to how
+# a cell is evaluated must leave every table as it is.  The error cells
+# note which VsgofError each replicate raised when recorded.
+
+PINNED_PATHS = {
+    "composite-normal": (
+        dict(null_family="dnorm", alt_family="dlaplace",
+             alt_params=(0.0, 1.0), n_values=(20,)),
+        [(20, "vs", 8, 0)]),
+    "composite-gamma": (
+        dict(null_family="dgamma", alt_family="dweibull",
+             alt_params=(1.5, 1.0), n_values=(20,)),
+        [(20, "vs", 5, 0)]),
+    "composite-weibull": (
+        dict(null_family="dweibull", alt_family="dgamma",
+             alt_params=(2.0, 1.0), n_values=(20,)),
+        [(20, "vs", 4, 0)]),
+    "composite-beta": (
+        dict(null_family="dbeta", alt_family="dunif", alt_params=(0.1, 0.9),
+             n_values=(20,)),
+        [(20, "vs", 9, 0)]),
+    # n >= 80: the normal limit, simple and composite
+    "asymptotic": (
+        dict(null_family="dexp", null_params=(1.0,), alt_family="dweibull",
+             alt_params=(1.2, 1.0), n_values=(80, 120)),
+        [(80, "vs", 23, 0), (120, "vs", 25, 0)]),
+    "asymptotic-composite": (
+        dict(null_family="dnorm", alt_family="dlaplace",
+             alt_params=(0.0, 1.0), n_values=(100,)),
+        [(100, "vs", 44, 0)]),
+    "simulate-true": (
+        dict(null_family="dexp", null_params=(1.0,), alt_family="dweibull",
+             alt_params=(1.2, 1.0), n_values=(80,), simulate="true"),
+        [(80, "vs", 18, 0)]),
+    "simulate-false": (
+        dict(null_family="dnorm", null_params=(0.0, 1.0),
+             alt_family="dlaplace", alt_params=(0.0, 1.0), n_values=(20,),
+             simulate="false"),
+        [(20, "vs", 38, 0)]),
+    "extend": (
+        dict(null_family="dnorm", null_params=(0.0, 1.0),
+             alt_family="dlaplace", alt_params=(0.0, 1.0), n_values=(30,),
+             extend=True),
+        [(30, "vs", 26, 0)]),
+    "relax": (
+        dict(null_family="dnorm", null_params=(0.0, 1.0),
+             alt_family="dlaplace", alt_params=(0.0, 1.0), n_values=(30,),
+             relax=True),
+        [(30, "vs", 32, 0)]),
+    "extend-relax-composite": (
+        dict(null_family="dgamma", alt_family="dlnorm", alt_params=(0.0, 0.5),
+             n_values=(12,), extend=True, relax=True),
+        [(12, "vs", 3, 0)]),
+    # B = 300: every inner simulation runs in two seed chunks (256 + 44)
+    "two-seed-chunks": (
+        dict(null_family="dexp", null_params=(1.0,), alt_family="dweibull",
+             alt_params=(1.2, 1.0), n_values=(20,),
+             tests=("vs", "ks", "cvm", "ad"), B=300),
+        [(20, "vs", 9, 0), (20, "ks", 6, 0), (20, "cvm", 4, 0),
+         (20, "ad", 2, 0)]),
+    # B * n = 18000 null values per replicate
+    "larger-than-a-block": (
+        dict(null_family="dexp", null_params=(1.0,), alt_family="dweibull",
+             alt_params=(1.2, 1.0), n_values=(60,),
+             tests=("vs", "ks", "cvm", "ad"), B=300),
+        [(60, "vs", 11, 0), (60, "ks", 7, 0), (60, "cvm", 8, 0),
+         (60, "ad", 7, 0)]),
+    "composite-larger-than-a-block": (
+        dict(null_family="dgamma", alt_family="dweibull",
+             alt_params=(1.5, 1.0), n_values=(60,), B=300),
+        [(60, "vs", 2, 0)]),
+    # DataError: draws of Pareto(0.005, 1) overflow to inf
+    "data-non-finite": (
+        dict(null_family="dpareto", null_params=(1.0, 1.0),
+             alt_family="dpareto", alt_params=(0.005, 1.0), n_values=(20,),
+             tests=("vs", "ks")),
+        [(20, "vs", 31, 29), (20, "ks", 30, 30)]),
+    # DataError: finite values whose spread max - min overflows (and, on
+    # a few, a log-density or a PIT that overflows first)
+    "data-spread-overflow": (
+        dict(null_family="dnorm", null_params=(0.0, 1.0), alt_family="dunif",
+             alt_params=(-1.7, 1.7), alt_scale=1e308, n_values=(10,),
+             tests=("vs", "ks")),
+        [(10, "vs", 0, 60), (10, "ks", 0, 60)]),
+    # DataError: observations outside the support, or a degenerate PIT
+    "data-outside-support": (
+        dict(null_family="dexp", null_params=(1.0,), alt_family="dnorm",
+             alt_params=(0.0, 1.0), n_values=(6,),
+             tests=("vs", "ks", "cvm", "ad")),
+        [(6, "vs", 0, 59), (6, "ks", 0, 58), (6, "cvm", 0, 58),
+         (6, "ad", 0, 59)]),
+    "data-degenerate-pit": (
+        dict(null_family="dnorm", null_params=(0.0, 1.0), alt_family="dunif",
+             alt_params=(100.0, 101.0), n_values=(10,), tests=("vs", "ks")),
+        [(10, "vs", 60, 0), (10, "ks", 0, 60)]),
+    # DataError (beta draws at exactly 0 or 1, outside the fit interval)
+    # and ConstraintError
+    "data-fit-interval": (
+        dict(null_family="dbeta", alt_family="dbeta", alt_params=(0.05, 0.05),
+             n_values=(5,), B=20),
+        [(5, "vs", 0, 60)]),
+    # EstimationError (no spread to fit) and TiesError
+    "ties-and-failed-fits": (
+        dict(null_family="dnorm", alt_family="dunif", alt_params=(0.0, 1.0),
+             alt_shift=1.0, alt_scale=2e-16, n_values=(3,), B=20),
+        [(3, "vs", 0, 60)]),
+    # TiesError: ~45 distinct values leave no window computable on a few
+    "ties": (
+        dict(null_family="dunif", null_params=(0.0, 2.0), alt_family="dunif",
+             alt_params=(0.0, 1.0), alt_shift=1.0, alt_scale=1e-14,
+             n_values=(20,), tests=("vs", "ks")),
+        [(20, "vs", 57, 3), (20, "ks", 60, 0)]),
+    # ConstraintError on every replicate
+    "constraint": (
+        dict(null_family="dweibull", alt_family="dweibull",
+             alt_params=(0.05, 1.0), n_values=(5,), B=20),
+        [(5, "vs", 0, 60)]),
+    # EstimationError: the one null replicate (B = 1) is discarded (6),
+    # and ConstraintError (10)
+    "all-null-discarded": (
+        dict(null_family="dbeta", alt_family="dbeta", alt_params=(0.5, 0.5),
+             n_values=(3,), B=1),
+        [(3, "vs", 16, 16)]),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("path", sorted(PINNED_PATHS))
+def test_power_table_pinned(path, threads):
+    over, expected = PINNED_PATHS[path]
+    scn = PowerScenario(**{**dict(name=path, replicates=60, B=100, seed=5,
+                                  tests=("vs",)), **over})
+    rows = run_power_study(scn, threads=threads).rows
+    assert [(r.n, r.test, r.rejections, r.errors) for r in rows] == expected
