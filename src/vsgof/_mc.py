@@ -1,12 +1,16 @@
-"""Seeded Monte-Carlo map: the determinism contract of every simulation.
+"""Seeded Monte-Carlo chunks: the determinism contract of every simulation.
 
 A job of ``total`` replicates is cut into fixed chunks of ``chunk``
 replicates (the last one partial), and chunk k draws from child k of the
-job's ``SeedSequence``.  Chunks run in order, serially or in one thread
-pool, and come back in order.  So an output depends on the seed and the
-chunk size, never on the thread count: both are part of the contract.
-``vstest`` and ``edf`` use chunks of ``CHUNK`` = 256 replicates; ``power``
-uses chunks of ``CELL_CHUNK`` = 50 replicates per (n, test) cell.
+job's ``SeedSequence``.  ``seed_chunks`` is that rule, and the one place
+it is written: ``seeded_map`` runs the chunks of its jobs through it, and
+a power cell draws the null matrix of each of its replicates through it
+(``draw_null``), exactly as ``vs_test`` and ``edf_test`` would.  Chunks
+run in order, serially or in one thread pool, and come back in order.  So
+an output depends on the seed and the chunk size, never on the thread
+count: both are part of the contract.  ``vstest`` and ``edf`` use chunks
+of ``CHUNK`` = 256 replicates; ``power`` uses chunks of ``CELL_CHUNK`` = 50
+replicates per (n, test) cell.
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ from .errors import ParameterError
 
 CHUNK = 256  # replicates per chunk of the vs and EDF null simulations
 CELL_CHUNK = 50  # replicates per chunk of a power-study cell
+# null values (rows x n) per block of power-cell replicates evaluated at
+# once; a block holds at least one replicate
+BLOCK = 2 ** 14
 
 
 def check_count(k, name: str) -> int:
@@ -41,6 +48,39 @@ def check_seed(seed) -> int:
     return int(seed)
 
 
+def seed_chunks(seed, total: int, chunk: int = CHUNK
+                ) -> list[tuple[int, np.random.SeedSequence]]:
+    """The ``(size, child)`` chunks of a job of ``total`` replicates, in
+    order; ``seed`` is an int or a ``SeedSequence``."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(check_seed(seed))
+    sizes = [chunk] * (total // chunk) + ([total % chunk] if total % chunk else [])
+    return list(zip(sizes, seed.spawn(len(sizes))))
+
+
+def draw_rows(fam, params, n: int, size: int,
+              child: np.random.SeedSequence) -> np.ndarray:
+    """One chunk of null samples: ``size`` rows of ``n`` draws of ``fam``."""
+    return fam.sample(params, (size, n), np.random.default_rng(child))
+
+
+def draw_null(fam, params_rows, n: int, B: int, seeds) -> np.ndarray:
+    """The (B, n) null matrices of several replicates, stacked: replicate
+    r's is the one a test with null parameters ``params_rows[r]`` and seed
+    ``seeds[r]`` simulates."""
+    return np.concatenate([draw_rows(fam, params, n, size, child)
+                           for params, seed in zip(params_rows, seeds)
+                           for size, child in seed_chunks(seed, B)])
+
+
+def blocks(count: int, values: int) -> list[slice]:
+    """Consecutive slices of ``count`` replicates of ``values`` null values
+    each, every slice holding whole replicates and at most ``BLOCK`` values
+    (one replicate when it alone holds more)."""
+    step = max(1, BLOCK // values)
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+
+
 def seeded_map(jobs, total: int, *, threads: int = 1,
                chunk: int = CHUNK) -> list[list]:
     """Run every job's ``fn(size, child)`` over ``total`` replicates.
@@ -50,13 +90,8 @@ def seeded_map(jobs, total: int, *, threads: int = 1,
     order.  All chunks of all jobs share one pool when ``threads > 1``.
     """
     threads = check_count(threads, "threads")
-    sizes = [chunk] * (total // chunk) + ([total % chunk] if total % chunk else [])
-    tasks = []  # (fn, size, child) in job order, then chunk order
-    for seed, fn in jobs:
-        if not isinstance(seed, np.random.SeedSequence):
-            seed = np.random.SeedSequence(check_seed(seed))
-        tasks += [(fn, size, child)
-                  for size, child in zip(sizes, seed.spawn(len(sizes)))]
+    tasks = [(fn, size, child) for seed, fn in jobs
+             for size, child in seed_chunks(seed, total, chunk)]
 
     def run(task):
         fn, size, child = task
@@ -67,5 +102,5 @@ def seeded_map(jobs, total: int, *, threads: int = 1,
             out = list(pool.map(run, tasks))
     else:
         out = [run(t) for t in tasks]
-    k = len(sizes)
+    k = len(tasks) // len(jobs) if jobs else 0
     return [out[i * k:(i + 1) * k] for i in range(len(jobs))]

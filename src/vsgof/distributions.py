@@ -160,20 +160,38 @@ class _Family:
         self._check_params(p)
         return p
 
+    def param_rows_ok(self, P: np.ndarray) -> np.ndarray:
+        """Which rows of a (rows, k) parameter matrix ``validate_params``
+        accepts (e.g. fitted parameters)."""
+        return np.isfinite(P).all(axis=-1) & self._constraint_rows(P)
+
+    def _constraint_rows(self, P: np.ndarray) -> np.ndarray:
+        """The family's constraints on finite parameter rows (``P.T[i]`` is
+        parameter i of every row, or of the one vector)."""
+        ok = True
+        for i in self.positive_params:
+            ok = ok & (P.T[i] > 0)
+        return ok
+
     def _check_params(self, p: np.ndarray) -> None:
         pos = self.positive_params
-        if not all(p[i] > 0 for i in pos):
+        if not self._constraint_rows(p):
             need = " and ".join(f"{self.param_names[i]} > 0" for i in pos)
             got = p[pos[0]] if len(pos) == 1 else p.tolist()
             raise ParameterError(f"{self.family_id} requires {need}, got {got}")
 
+    def outside_fit_interval(self, X: np.ndarray) -> np.ndarray:
+        """Elementwise: the values a fit rejects (not inside ``fit_interval``)."""
+        if self.fit_interval is None:
+            return np.zeros(np.shape(X), dtype=bool)
+        lo, hi = self.fit_interval
+        return (X <= lo) | (X >= hi)
+
     def validate_fit_data(self, x: np.ndarray) -> None:
         """Support precondition for fitting (independent of parameter values)."""
-        if self.fit_interval is None:
-            return
-        lo, hi = self.fit_interval
-        bad = np.flatnonzero((x <= lo) | (x >= hi))
+        bad = np.flatnonzero(self.outside_fit_interval(x))
         if bad.size:
+            lo, hi = self.fit_interval
             need = ("strictly positive observations" if hi == math.inf
                     else f"observations strictly inside ({lo:g}, {hi:g})")
             raise DataError(f"{self.family_id} requires {need}; "
@@ -232,8 +250,11 @@ class _Uniform(_Family):
     param_names = ("Min", "Max")
     support_text = "the interval [Min, Max]"
 
+    def _constraint_rows(self, P):
+        return P.T[0] < P.T[1]
+
     def _check_params(self, p):
-        if not p[0] < p[1]:
+        if not self._constraint_rows(p):
             raise ParameterError(f"uniform requires Min < Max, got {p.tolist()}")
 
     def log_density(self, params, x):
@@ -549,8 +570,11 @@ class _Fisher(_Family):
     def cdf(self, params, x):
         d1, d2 = params[0], params[1]
         x = np.asarray(x, dtype=float)
-        xp = np.maximum(x, 0.0)
-        w = d1 * xp / (d1 * xp + d2)
+        dx = d1 * np.maximum(x, 0.0)
+        with np.errstate(invalid="ignore"):
+            w = dx / (dx + d2)
+        # inf / inf at x = +inf (or where d1 * x overflows): the limit is 1
+        w = np.where(np.isinf(dx), 1.0, w)
         return betainc(0.5 * np.asarray(d1), 0.5 * np.asarray(d2), w)
 
     def quantile(self, params, q):

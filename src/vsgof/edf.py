@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distributions as dist
-from ._mc import check_count, seeded_map
+from ._mc import blocks, check_count, draw_null, draw_rows, seeded_map
 from .errors import DataError, ParameterError
-from .sample import Sample, as_sample
-from .vstest import empirical_null_loglik
+from .sample import Sample, as_sample, valid_rows
+from .vstest import _null_loglik, _support_loglik
 
 __all__ = [
     "EdfTestReport",
@@ -53,6 +53,12 @@ def _pit_rows(fam, params, X: np.ndarray) -> np.ndarray:
     U = np.asarray(fam.cdf(params, X), dtype=float)
     U.sort(axis=-1)
     return U
+
+
+def _degenerate_pit(U: np.ndarray) -> np.ndarray:
+    """Rows whose every PIT value is 0 or 1: the null puts no mass where
+    the data lie."""
+    return np.all((U <= 0.0) | (U >= 1.0), axis=-1)
 
 
 def _ks_rows(U: np.ndarray) -> np.ndarray:
@@ -93,12 +99,12 @@ def _observed(x, family, params, kernel):
     fam = dist.resolve_family(family)
     p = fam.validate_params(params)
     u = _pit_rows(fam, p, s.values[None, :])
-    if np.all((u <= 0.0) | (u >= 1.0)):
+    if _degenerate_pit(u)[0]:
         raise DataError(
             "the probability integral transform is degenerate (every value "
             "maps to 0 or 1); the fixed null puts no mass where the data lie"
         )
-    empirical_null_loglik(s, fam.family_id, p)  # DataError outside support
+    _support_loglik(fam, p, s)  # DataError outside support
     return float(kernel(u)[0]), s, fam, p
 
 
@@ -118,11 +124,10 @@ def ad_statistic(x: "Sample | np.ndarray", family: str, params) -> float:
     return _observed(x, family, params, _ad_rows)[0]
 
 
-def _null_stat_chunk(fam, params, n, size, kernel,
-                     seed_seq: np.random.SeedSequence) -> np.ndarray:
-    rng = np.random.default_rng(seed_seq)
-    X = fam.sample(params, (size, n), rng)
-    return kernel(_pit_rows(fam, params, X))
+def _edf_share(null: np.ndarray, observed: np.ndarray) -> np.ndarray:
+    """Monte-Carlo p-values along the last axis: the share of the null
+    statistics at or above ``observed``."""
+    return (null >= observed[..., None]).sum(axis=-1) / null.shape[-1]
 
 
 def edf_mc_p_value(x: "Sample | np.ndarray", family: str, params,
@@ -145,10 +150,33 @@ def edf_test(x: "Sample | np.ndarray", family: str, params, test_id: str, *,
     observed, s, fam, p = _observed(x, family, params, kernel)
 
     def run(size, child):
-        return _null_stat_chunk(fam, p, s.n, size, kernel, child)
+        return kernel(_pit_rows(fam, p, draw_rows(fam, p, s.n, size, child)))
 
     chunks, = seeded_map([(seed, run)], B, threads=threads)
-    p_value = float((np.concatenate(chunks) >= observed).sum() / B)
+    p_value = float(_edf_share(np.concatenate(chunks), np.float64(observed)))
     return EdfTestReport(family_id=fam.family_id, n=s.n, test_id=key,
                          statistic=observed, p_value=p_value, B=B,
                          seed=int(seed))
+
+
+def _p_value_rows(fam, params: np.ndarray, test_id: str, X: np.ndarray,
+                  seeds: np.ndarray, B: int) -> np.ndarray:
+    """The p-value of :func:`edf_test` on every row of X at once, row i with
+    seed ``seeds[i]``; NaN exactly where ``edf_test`` raises a
+    ``VsgofError`` (invalid data, a degenerate PIT, data outside the null
+    support).  Null replicates are drawn per row as ``edf_test`` draws
+    them and evaluated in blocks of rows (``vsgof._mc.blocks``)."""
+    _, kernel = _resolve_test(test_id)
+    p_values = np.full(X.shape[0], np.nan)
+    n = X.shape[1]
+    rows = np.flatnonzero(valid_rows(X))
+    U = _pit_rows(fam, params, X[rows])
+    _, inside = _null_loglik(fam, params, X[rows])
+    keep = ~_degenerate_pit(U) & inside.all(axis=1)
+    rows, observed = rows[keep], kernel(U[keep])
+    for blk in blocks(rows.size, B * n):
+        X_null = draw_null(fam, [params] * (blk.stop - blk.start), n, B,
+                           seeds[rows[blk]])
+        null = kernel(_pit_rows(fam, params, X_null))
+        p_values[rows[blk]] = _edf_share(null.reshape(-1, B), observed[blk])
+    return p_values

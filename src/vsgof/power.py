@@ -35,7 +35,14 @@ Reproducibility: every (n, test) cell owns a branch of the scenario's
 seed sequence and runs in the seeded chunks of ``vsgof._mc`` (50
 replicates each), each replicate drawing its inner Monte-Carlo seed from
 the chunk stream right after its sample; results are therefore bitwise
-identical for any ``threads`` value.
+identical for any ``threads`` value.  A chunk's replicates are evaluated
+together: each replicate's null matrix is drawn from its own inner seed
+exactly as ``vs_test``/``edf_test`` would draw it, and everything after
+the draws (PIT and EDF kernel, fits and log-likelihoods, sort, window
+scan and selection) runs once per block of replicates of at most
+``vsgof._mc.BLOCK`` null values.  Every replicate keeps the p-value, or
+the error, of its own test call, so the tables equal those of one call
+per replicate.
 """
 
 from __future__ import annotations
@@ -48,10 +55,10 @@ from io import StringIO
 import numpy as np
 
 from . import distributions as dist
+from . import edf, vstest
 from ._mc import CELL_CHUNK, check_count, check_seed, seeded_map
-from .edf import edf_mc_p_value
-from .errors import DataError, ParameterError, VsgofError
-from .vstest import _SIMULATE_FLAGS, TestOptions, _check_delta, vs_test
+from .errors import DataError, ParameterError
+from .vstest import _SIMULATE_FLAGS, TestOptions, _check_delta
 
 __all__ = [
     "PowerScenario",
@@ -273,36 +280,33 @@ def parse_scenario_file(path) -> PowerScenario:
 # Study runner
 # ---------------------------------------------------------------------------
 
-def _replicate_p_value(scn: PowerScenario, n: int, test: str, x: np.ndarray,
-                       inner_seed: int) -> float:
-    if test == "vs":
-        report = vs_test(x, scn.null_family, TestOptions(
-            delta=scn.delta, extend=scn.extend, relax=scn.relax,
-            simulate_p_value=_SIMULATE_FLAGS[scn.simulate], B=scn.B,
-            fixed_params=scn.null_params, seed=inner_seed))
-        return report.p_value
-    return edf_mc_p_value(x, scn.null_family, scn.null_params, test,
-                          B=scn.B, seed=inner_seed)
-
-
 def _cell_chunk(scn: PowerScenario, n: int, test: str, count: int,
                 seed_seq: np.random.SeedSequence) -> tuple[int, int]:
-    """(rejections, errors) over `count` replicates of one (n, test) cell."""
+    """(rejections, errors) over `count` replicates of one (n, test) cell.
+
+    Each replicate draws its sample and then its inner Monte-Carlo seed
+    from the chunk stream; the test then runs on all of them at once, with
+    the p-value each would get from its own vs_test/edf_test call (NaN
+    where that call raises a VsgofError).
+    """
     gen = np.random.default_rng(seed_seq)
     alt = dist.resolve_family(scn.alt_family)
     alt_p = alt.validate_params(scn.alt_params)
-    rejections = errors = 0
-    for _ in range(count):
-        x = scn.alt_shift + scn.alt_scale * alt.sample(alt_p, n, gen)
-        inner_seed = int(gen.integers(2 ** 63))
-        try:
-            p = _replicate_p_value(scn, n, test, x, inner_seed)
-        except VsgofError:
-            errors += 1
-            continue
-        if p <= scn.alpha:
-            rejections += 1
-    return rejections, errors
+    X = np.empty((count, n))
+    seeds = np.empty(count, dtype=np.int64)
+    for i in range(count):
+        X[i] = scn.alt_shift + scn.alt_scale * alt.sample(alt_p, n, gen)
+        seeds[i] = gen.integers(2 ** 63)
+    fam = dist.resolve_family(scn.null_family)
+    if test == "vs":
+        p = vstest._p_value_rows(fam, X, seeds, TestOptions(
+            delta=scn.delta, extend=scn.extend, relax=scn.relax,
+            simulate_p_value=_SIMULATE_FLAGS[scn.simulate], B=scn.B,
+            fixed_params=scn.null_params))
+    else:
+        p = edf._p_value_rows(fam, fam.validate_params(scn.null_params), test,
+                              X, seeds, scn.B)
+    return int((p <= scn.alpha).sum()), int(np.isnan(p).sum())
 
 
 def run_power_study(scenario: PowerScenario, *, threads: int = 1) -> PowerTable:

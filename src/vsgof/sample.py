@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -11,6 +10,14 @@ import numpy as np
 from .errors import DataError
 
 __all__ = ["Sample", "as_sample"]
+
+
+def valid_rows(X: np.ndarray) -> np.ndarray:
+    """Which samples along the last axis a ``Sample`` accepts: every value
+    finite, and a finite spread max - min (so that every spacing is).  A
+    NaN or infinite value makes the spread NaN or infinite too."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.isfinite(X.max(axis=-1) - X.min(axis=-1))
 
 
 def _max_tie_run(sorted_values: np.ndarray) -> int:
@@ -44,21 +51,19 @@ class Sample:
             raise DataError(f"sample must be one-dimensional, got shape {arr.shape}")
         if arr.shape[0] < 2:
             raise DataError(f"sample needs at least 2 observations, got {arr.shape[0]}")
-        if not np.all(np.isfinite(arr)):
+        if not valid_rows(arr):
             bad = np.flatnonzero(~np.isfinite(arr))
+            if bad.size:
+                raise DataError(f"sample contains non-finite values at "
+                                f"positions {bad.tolist()[:10]}")
             raise DataError(
-                f"sample contains non-finite values at positions {bad.tolist()[:10]}"
+                f"sample spread max - min overflows: the values range from "
+                f"{float(arr.min())!r} to {float(arr.max())!r}; rescale the data"
             )
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
         srt = np.sort(arr)
-        lo, hi = float(srt[0]), float(srt[-1])
-        if not math.isfinite(hi - lo):  # Python floats overflow to inf silently
-            raise DataError(
-                f"sample spread max - min overflows: the values range from "
-                f"{lo!r} to {hi!r}; rescale the data"
-            )
         srt.flags.writeable = False
         object.__setattr__(self, "sorted_values", srt)
         object.__setattr__(self, "max_tie_run", _max_tie_run(srt))

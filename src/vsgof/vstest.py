@@ -38,10 +38,11 @@ import numpy as np
 from scipy.special import ndtr, psi
 
 from . import distributions as dist
-from ._mc import check_count, check_seed, seeded_map
+from ._mc import (blocks, check_count, check_seed, draw_null, draw_rows,
+                  seeded_map)
 from .errors import (ConstraintError, DataError, EstimationError,
                      ParameterError, TiesError)
-from .sample import Sample, as_sample
+from .sample import Sample, as_sample, valid_rows
 from .spacing import (WindowScan, batch_window_values, max_valid_window,
                       vasicek_estimate)
 
@@ -156,14 +157,28 @@ def empirical_null_loglik(x: "Sample | np.ndarray", family: str, params) -> floa
     """
     s = as_sample(x)
     fam = dist.resolve_family(family)
-    vals = np.asarray(fam.log_density(fam.validate_params(params), s.values))
-    if not np.all(np.isfinite(vals)):
-        bad = np.flatnonzero(~np.isfinite(vals))
+    return _support_loglik(fam, fam.validate_params(params), s)
+
+
+def _support_loglik(fam, params: np.ndarray, s: Sample) -> float:
+    """:func:`empirical_null_loglik` for a resolved family and validated
+    parameters."""
+    loglik, inside = _null_loglik(fam, params, s.values)
+    if not inside.all():
+        bad = np.flatnonzero(~inside)
         raise DataError(
             f"observations outside the {fam.family_id} support "
             f"({fam.support_text}) at positions {bad.tolist()[:10]}"
         )
-    return float(vals.mean())
+    return float(loglik)
+
+
+def _null_loglik(fam, params, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean null log-density along the last axis of X, and which values lie
+    inside the support (have a finite log-density).  ``params`` broadcasts
+    against X: one parameter vector, or columns of per-row parameters."""
+    L = np.asarray(fam.log_density(params, X))
+    return L.mean(axis=-1), np.isfinite(L)
 
 
 def statistic_at(x: "Sample | np.ndarray", family: str, params, m: int) -> float:
@@ -199,7 +214,7 @@ def _scan_and_select(s: Sample, fam, params, delta: float, extend: bool,
     Returns the selected window, the statistic there, the scan and the
     warnings; raises TiesError or ConstraintError when no window qualifies.
     """
-    loglik = empirical_null_loglik(s, fam.family_id, params)
+    loglik = _support_loglik(fam, params, s)
     ms = candidate_windows(s.n, delta, extend)
     V, computable = batch_window_values(s.sorted_values[None, :], ms)
     warnings = [_TIES_WARNING] if s.has_ties else []
@@ -289,13 +304,12 @@ def asymptotic_p_value(statistic: float, m: int, n: int) -> float:
 # Monte-Carlo engine
 # ---------------------------------------------------------------------------
 
-def _null_chunk(fam, params: np.ndarray, n: int, refit: bool,
-                ms: np.ndarray, relax: bool, size: int,
-                seed_seq: np.random.SeedSequence
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One chunk of null replicates: statistics, windows, validity flags."""
-    rng = np.random.default_rng(seed_seq)
-    X = fam.sample(params, (size, n), rng)
+def _null_rows(fam, params: np.ndarray | None, X: np.ndarray, refit: bool,
+               ms: np.ndarray, relax: bool
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Null replicate rows: statistics, windows, validity flags.  With
+    ``refit`` every row is refitted and ``params`` is not used."""
+    size = X.shape[0]
     loglik = np.full(size, np.nan)
     if refit:
         P, okfit = fam.fit_rows(X)
@@ -326,7 +340,8 @@ def simulate_null_statistics(family: str, params, n: int, B: int, *,
     p = fam.validate_params(params)
 
     def run(size, child):
-        return _null_chunk(fam, p, n, refit, ms, relax, size, child)
+        return _null_rows(fam, p, draw_rows(fam, p, n, size, child), refit,
+                          ms, relax)
 
     chunks, = seeded_map([(seed, run)], check_count(B, "B"), threads=threads)
     return tuple(np.concatenate(part) for part in zip(*chunks))
@@ -345,15 +360,77 @@ def monte_carlo_p_value(observed: float, family: str, params, n: int, *,
     stats, _, ok = simulate_null_statistics(
         family, params, n, B, refit=refit, ms=ms, relax=relax,
         seed=seed, threads=threads)
-    ignored = int(B - ok.sum())
-    if ignored == B:
+    p, kept = _mc_share(stats, ok, np.float64(observed))
+    if not kept:
         raise EstimationError(
             "every Monte-Carlo replicate was discarded (no admissible "
             "window, or a failed refit); the null model cannot be simulated "
             "at this sample size"
         )
-    p = float((stats[ok] > observed).sum() / (B - ignored))
-    return p, ignored
+    return float(p), int(B - kept)
+
+
+def _mc_share(stats: np.ndarray, ok: np.ndarray, observed: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Monte-Carlo p-values along the last axis: the share of the kept null
+    statistics (``ok``) strictly above ``observed``, and the kept counts.
+    There is no p-value where nothing was kept."""
+    kept = ok.sum(axis=-1)
+    above = (ok & (stats > observed[..., None])).sum(axis=-1)
+    with np.errstate(invalid="ignore"):
+        return above / kept, kept
+
+
+def _p_value_rows(fam, X: np.ndarray, seeds: np.ndarray,
+                  opts: TestOptions) -> np.ndarray:
+    """The p-value of :func:`vs_test` on every row of X at once, row i with
+    seed ``seeds[i]``.
+
+    A row's p-value is NaN exactly where ``vs_test`` raises a
+    ``VsgofError``: invalid data, data outside the fit interval or the null
+    support, a failed fit, no admissible window, or every null replicate
+    discarded.  Null replicates are drawn per row as ``vs_test`` draws
+    them, then refitted, sorted and scanned in blocks of rows
+    (``vsgof._mc.blocks``).
+    """
+    p_values = np.full(X.shape[0], np.nan)
+    n = X.shape[1]
+    rows = np.flatnonzero(valid_rows(X))
+    refit = opts.fixed_params is None
+    if refit:
+        rows = rows[~fam.outside_fit_interval(X[rows]).any(axis=1)]
+        P, fitted = fam.fit_rows(X[rows])
+        fitted[fitted] = fam.param_rows_ok(P[fitted])
+        rows, P = rows[fitted], P[fitted]
+        params = fam._cols(P)
+    else:
+        params = fam.validate_params(opts.fixed_params)
+        P = np.broadcast_to(params, (rows.size, params.size))
+    loglik, inside = _null_loglik(fam, params, X[rows])
+    inside = inside.all(axis=1)
+    rows, P, loglik = rows[inside], P[inside], loglik[inside]
+
+    delta = fam.default_delta if opts.delta is None else float(opts.delta)
+    ms = candidate_windows(n, delta, opts.extend)
+    V, computable = batch_window_values(np.sort(X[rows], axis=1), ms)
+    col, ok = _select_rows(V, computable, loglik, opts.relax)
+    stat = -V[np.arange(rows.size), col] - loglik
+    rows, P, stat, m_hat = rows[ok], P[ok], stat[ok], ms[col[ok]]
+
+    if _resolve_p_method(opts, n) == "asymptotic":
+        p_values[rows] = [asymptotic_p_value(t, m, n)
+                          for t, m in zip(stat, m_hat)]
+        return p_values
+    B = opts.B
+    for blk in blocks(rows.size, B * n):
+        stats, _, ok = _null_rows(
+            fam, None if refit else params,
+            draw_null(fam, P[blk], n, B, seeds[rows[blk]]), refit, ms,
+            opts.relax)
+        # NaN (0 / 0) where every null replicate was discarded
+        p_values[rows[blk]], _ = _mc_share(stats.reshape(-1, B),
+                                           ok.reshape(-1, B), stat[blk])
+    return p_values
 
 
 def _resolve_p_method(opts: TestOptions, n: int) -> str:
@@ -403,7 +480,7 @@ def vs_test(x: "Sample | np.ndarray", family: str,
         refit = False
     else:
         estimate = dist.fit_mle(fam.family_id, s)
-        params = estimate.params
+        params = fam.validate_params(estimate.params)
         refit = True
 
     delta = fam.default_delta if opts.delta is None else float(opts.delta)

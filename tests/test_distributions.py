@@ -190,6 +190,16 @@ def test_cdf_keeps_nan(fid):
     assert np.isnan(cdf(fid, params, float("nan")))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fid", sorted(SCIPY_ORACLE))
+def test_cdf_at_infinities(fid):
+    # fisher's w = d1 x / (d1 x + d2) used to be inf / inf at x = +inf
+    params = SCIPY_ORACLE[fid][0]
+    assert cdf(fid, params, -np.inf) == 0.0
+    assert cdf(fid, params, np.inf) == 1.0
+    assert cdf(fid, params, np.array([-np.inf, np.inf])).tolist() == [0.0, 1.0]
+
+
 @pytest.mark.parametrize("fid", sorted(SCIPY_ORACLE))
 def test_quantile_roundtrip(fid):
     params = SCIPY_ORACLE[fid][0]

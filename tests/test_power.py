@@ -3,15 +3,19 @@
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from vsgof.errors import DataError, ParameterError
+from vsgof import distributions, edf_test, vs_test
+from vsgof._mc import CELL_CHUNK, seed_chunks
+from vsgof.errors import DataError, ParameterError, VsgofError
 from vsgof.power import (
     PowerScenario,
     PowerTable,
     parse_scenario_file,
     run_power_study,
 )
+from vsgof.vstest import _SIMULATE_FLAGS, TestOptions
 
 
 def write(tmp_path, text):
@@ -450,3 +454,69 @@ def test_power_table_pinned(path, threads):
                                   tests=("vs",)), **over})
     rows = run_power_study(scn, threads=threads).rows
     assert [(r.n, r.test, r.rejections, r.errors) for r in rows] == expected
+
+
+# ---------------------------------------------------------------------------
+# oracle: a cell equals its replicates run one test call at a time
+#
+# One small scenario per test id, each with replicates that end in errors:
+# constraint failures and all null replicates discarded (vs, composite
+# beta), data outside the support (ks), a degenerate PIT (cvm) and
+# non-finite draws (ad).
+
+ORACLE_SCENARIOS = {
+    "vs": dict(null_family="dbeta", alt_family="dbeta",
+               alt_params=(0.5, 0.5), n_values=(3, 9, 80), B=2),
+    "ks": dict(null_family="dexp", null_params=(1.0,), alt_family="dnorm",
+               alt_params=(1.5, 1.0), n_values=(8, 20)),
+    "cvm": dict(null_family="dnorm", null_params=(0.0, 1.0),
+                alt_family="dunif", alt_params=(5.0, 40.0), n_values=(4,)),
+    "ad": dict(null_family="dpareto", null_params=(1.0, 1.0),
+               alt_family="dpareto", alt_params=(0.005, 1.0),
+               n_values=(10,)),
+}
+
+
+def _one_call_per_replicate(scn, n, test, cell_seed):
+    """(rejections, errors) of a cell, replaying its chunk streams and
+    calling vs_test or edf_test on each replicate's sample and seed."""
+    alt = distributions.resolve_family(scn.alt_family)
+    alt_p = alt.validate_params(scn.alt_params)
+    rejections = errors = 0
+    for size, child in seed_chunks(cell_seed, scn.replicates, CELL_CHUNK):
+        gen = np.random.default_rng(child)
+        for _ in range(size):
+            x = scn.alt_shift + scn.alt_scale * alt.sample(alt_p, n, gen)
+            seed = int(gen.integers(2 ** 63))
+            try:
+                if test == "vs":
+                    p = vs_test(x, scn.null_family, TestOptions(
+                        delta=scn.delta, extend=scn.extend, relax=scn.relax,
+                        simulate_p_value=_SIMULATE_FLAGS[scn.simulate],
+                        B=scn.B, fixed_params=scn.null_params,
+                        seed=seed)).p_value
+                else:
+                    p = edf_test(x, scn.null_family, scn.null_params, test,
+                                 B=scn.B, seed=seed).p_value
+            except VsgofError:
+                errors += 1
+                continue
+            rejections += p <= scn.alpha
+    return rejections, errors
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("test", sorted(ORACLE_SCENARIOS))
+def test_power_cells_match_one_call_per_replicate(test):
+    scn = PowerScenario(**{**dict(name=f"oracle-{test}", tests=(test,),
+                                  replicates=60, B=60, seed=8),
+                           **ORACLE_SCENARIOS[test]})
+    table = run_power_study(scn)
+    cell_seeds = np.random.SeedSequence(scn.seed).spawn(len(scn.n_values))
+    total_errors = 0
+    for n, cell_seed in zip(scn.n_values, cell_seeds):
+        row = table.row(n, test)
+        assert (row.rejections, row.errors) == _one_call_per_replicate(
+            scn, n, test, cell_seed)
+        total_errors += row.errors
+    assert total_errors > 0
