@@ -1,16 +1,17 @@
 """Seeded Monte-Carlo chunks: the determinism contract of every simulation.
 
-A job of ``total`` replicates is cut into fixed chunks of ``chunk``
-replicates (the last one partial), and chunk k draws from child k of the
-job's ``SeedSequence``.  ``seed_chunks`` is that rule, and the one place
-it is written: ``seeded_map`` runs the chunks of its jobs through it, and
-a power cell draws the null matrix of each of its replicates through it
-(``draw_null``), exactly as ``vs_test`` and ``edf_test`` would.  Chunks
-run in order, serially or in one thread pool, and come back in order.  So
-an output depends on the seed and the chunk size, never on the thread
-count: both are part of the contract.  ``vstest`` and ``edf`` use chunks
-of ``CHUNK`` = 256 replicates; ``power`` uses chunks of ``CELL_CHUNK`` = 50
-replicates per (n, test) cell.
+A job of ``total`` replicates is cut into chunks of ``chunk`` replicates
+(the last one partial), chunk k drawing from child k of the job's
+``SeedSequence``: ``seed_chunks`` is that rule, written once.  Every null
+simulation runs on one schedule, ``null_map``: a replicate's (B, n) null
+matrix is drawn in chunks of ``CHUNK`` = 256 rows from its own seed, as
+``vs_test`` and ``edf_test`` draw it, and a power cell stacks those of its
+replicates; consecutive chunks form blocks of at most ``BLOCK`` values,
+each evaluated at once; blocks run serially or in one thread pool and
+come back in order.  Every evaluation is row-wise, a row's result never
+depending on the rows stacked with it, so neither the grouping nor the
+thread count changes a bit; the seed and the chunk size are the contract.
+``seeded_map`` runs power cells' chunks of ``CELL_CHUNK`` = 50 replicates.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .errors import ParameterError
 
 CHUNK = 256  # replicates per chunk of the vs and EDF null simulations
 CELL_CHUNK = 50  # replicates per chunk of a power-study cell
-# null values (rows x n) per block of power-cell replicates evaluated at
-# once; a block holds at least one replicate
+# null values (rows x n) per block of chunks evaluated at once; a block
+# holds at least one chunk
 BLOCK = 2 ** 14
 
 
@@ -58,27 +59,43 @@ def seed_chunks(seed, total: int, chunk: int = CHUNK
     return list(zip(sizes, seed.spawn(len(sizes))))
 
 
-def draw_rows(fam, params, n: int, size: int,
-              child: np.random.SeedSequence) -> np.ndarray:
-    """One chunk of null samples: ``size`` rows of ``n`` draws of ``fam``."""
-    return fam.sample(params, (size, n), np.random.default_rng(child))
+def null_map(fam, params_rows, n: int, B: int, seeds, evaluate, *,
+             threads: int = 1) -> tuple[np.ndarray, ...]:
+    """``evaluate`` over the (B, n) null matrices of several replicates.
+
+    Replicate r's matrix is the one a test with null parameters
+    ``params_rows[r]`` and seed ``seeds[r]`` simulates: the rows of its
+    seeded chunks, drawn from ``fam``.  ``evaluate(X)`` maps a block of
+    stacked rows to a tuple of per-row arrays; each array comes back with
+    the rows of every replicate in order (empty for no replicate).
+    """
+    B = check_count(B, "B")
+    threads = check_count(threads, "threads")
+    blocks, values = [], BLOCK
+    for params, seed in zip(params_rows, seeds):
+        for size, child in seed_chunks(seed, B):
+            if values + size * n > BLOCK:
+                blocks.append([])
+                values = 0
+            blocks[-1].append((params, size, child))
+            values += size * n
+
+    def run(block):
+        # no replicate: one empty block, so that the arrays still come back
+        return evaluate(np.concatenate(
+            [fam.sample(params, (size, n), np.random.default_rng(child))
+             for params, size, child in block] or [np.empty((0, n))]))
+
+    return tuple(map(np.concatenate, zip(*_run_all(run, blocks or [[]],
+                                                    threads))))
 
 
-def draw_null(fam, params_rows, n: int, B: int, seeds) -> np.ndarray:
-    """The (B, n) null matrices of several replicates, stacked: replicate
-    r's is the one a test with null parameters ``params_rows[r]`` and seed
-    ``seeds[r]`` simulates."""
-    return np.concatenate([draw_rows(fam, params, n, size, child)
-                           for params, seed in zip(params_rows, seeds)
-                           for size, child in seed_chunks(seed, B)])
-
-
-def blocks(count: int, values: int) -> list[slice]:
-    """Consecutive slices of ``count`` replicates of ``values`` null values
-    each, every slice holding whole replicates and at most ``BLOCK`` values
-    (one replicate when it alone holds more)."""
-    step = max(1, BLOCK // values)
-    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+def _run_all(fn, items: list, threads: int) -> list:
+    """``fn`` over ``items``, in order, serially or in one thread pool."""
+    if threads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def seeded_map(jobs, total: int, *, threads: int = 1,
@@ -92,15 +109,6 @@ def seeded_map(jobs, total: int, *, threads: int = 1,
     threads = check_count(threads, "threads")
     tasks = [(fn, size, child) for seed, fn in jobs
              for size, child in seed_chunks(seed, total, chunk)]
-
-    def run(task):
-        fn, size, child = task
-        return fn(size, child)
-
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            out = list(pool.map(run, tasks))
-    else:
-        out = [run(t) for t in tasks]
+    out = _run_all(lambda task: task[0](*task[1:]), tasks, threads)
     k = len(tasks) // len(jobs) if jobs else 0
     return [out[i * k:(i + 1) * k] for i in range(len(jobs))]

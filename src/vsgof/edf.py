@@ -6,8 +6,9 @@ p-values under the simple null.  These are the reference tests the power
 harness compares the spacing-based test against; composite (estimated
 parameter) variants are deliberately not provided.
 
-Monte-Carlo replication follows the seeded chunk contract of
-``vsgof._mc``, so p-values are bitwise identical for any thread count.
+Monte-Carlo replication runs through ``vsgof._mc.null_map`` and follows
+its seeded chunk contract, so p-values are bitwise identical for any
+thread count.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distributions as dist
-from ._mc import blocks, check_count, draw_null, draw_rows, seeded_map
+from ._mc import check_count, null_map
 from .errors import DataError, ParameterError
 from .sample import Sample, as_sample, valid_rows
 from .vstest import _null_loglik, _support_loglik
@@ -148,12 +149,9 @@ def edf_test(x: "Sample | np.ndarray", family: str, params, test_id: str, *,
     key, kernel = _resolve_test(test_id)
     B = check_count(B, "B")
     observed, s, fam, p = _observed(x, family, params, kernel)
-
-    def run(size, child):
-        return kernel(_pit_rows(fam, p, draw_rows(fam, p, s.n, size, child)))
-
-    chunks, = seeded_map([(seed, run)], B, threads=threads)
-    p_value = float(_edf_share(np.concatenate(chunks), np.float64(observed)))
+    null, = null_map(fam, [p], s.n, B, [seed],
+                     lambda X: (kernel(_pit_rows(fam, p, X)),), threads=threads)
+    p_value = float(_edf_share(null, np.float64(observed)))
     return EdfTestReport(family_id=fam.family_id, n=s.n, test_id=key,
                          statistic=observed, p_value=p_value, B=B,
                          seed=int(seed))
@@ -164,8 +162,8 @@ def _p_value_rows(fam, params: np.ndarray, test_id: str, X: np.ndarray,
     """The p-value of :func:`edf_test` on every row of X at once, row i with
     seed ``seeds[i]``; NaN exactly where ``edf_test`` raises a
     ``VsgofError`` (invalid data, a degenerate PIT, data outside the null
-    support).  Null replicates are drawn per row as ``edf_test`` draws
-    them and evaluated in blocks of rows (``vsgof._mc.blocks``)."""
+    support).  The null replicates of all rows run through one
+    ``vsgof._mc.null_map``, each row's drawn as ``edf_test`` draws them."""
     _, kernel = _resolve_test(test_id)
     p_values = np.full(X.shape[0], np.nan)
     n = X.shape[1]
@@ -174,9 +172,7 @@ def _p_value_rows(fam, params: np.ndarray, test_id: str, X: np.ndarray,
     _, inside = _null_loglik(fam, params, X[rows])
     keep = ~_degenerate_pit(U) & inside.all(axis=1)
     rows, observed = rows[keep], kernel(U[keep])
-    for blk in blocks(rows.size, B * n):
-        X_null = draw_null(fam, [params] * (blk.stop - blk.start), n, B,
-                           seeds[rows[blk]])
-        null = kernel(_pit_rows(fam, params, X_null))
-        p_values[rows[blk]] = _edf_share(null.reshape(-1, B), observed[blk])
+    null, = null_map(fam, [params] * rows.size, n, B, seeds[rows],
+                     lambda X: (kernel(_pit_rows(fam, params, X)),))
+    p_values[rows] = _edf_share(null.reshape(-1, B), observed)
     return p_values

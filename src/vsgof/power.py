@@ -36,13 +36,10 @@ seed sequence and runs in the seeded chunks of ``vsgof._mc`` (50
 replicates each), each replicate drawing its inner Monte-Carlo seed from
 the chunk stream right after its sample; results are therefore bitwise
 identical for any ``threads`` value.  A chunk's replicates are evaluated
-together: each replicate's null matrix is drawn from its own inner seed
-exactly as ``vs_test``/``edf_test`` would draw it, and everything after
-the draws (PIT and EDF kernel, fits and log-likelihoods, sort, window
-scan and selection) runs once per block of replicates of at most
-``vsgof._mc.BLOCK`` null values.  Every replicate keeps the p-value, or
-the error, of its own test call, so the tables equal those of one call
-per replicate.
+together, their null matrices stacked in one ``vsgof._mc.null_map``, each
+drawn from its own inner seed exactly as ``vs_test``/``edf_test`` would
+draw it.  Every replicate keeps the p-value, or the error, of its own
+test call, so the tables equal those of one call per replicate.
 """
 
 from __future__ import annotations
@@ -124,8 +121,10 @@ class PowerScenario:
                 raise ParameterError(
                     f"sample size {n} is too small (minimum {n_min} for the "
                     "selected tests)")
-        if self.alt_scale <= 0.0:
-            raise ParameterError("alt_scale must be positive")
+        if not (math.isfinite(self.alt_shift) and 0.0 < self.alt_scale < math.inf):
+            raise ParameterError(
+                "alt_shift must be finite and alt_scale finite and positive, "
+                f"got {self.alt_shift} and {self.alt_scale}")
         if self.simulate not in _SIMULATE_FLAGS:
             raise ParameterError(
                 f"simulate must be one of {', '.join(_SIMULATE_FLAGS)}, "

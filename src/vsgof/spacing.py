@@ -38,6 +38,13 @@ def max_valid_window(n: int) -> int:
     return max((int(n) - 1) // 2, 0)
 
 
+def _largest_window(n: int) -> int:
+    """:func:`max_valid_window`; DataError when no window is valid."""
+    if n < 3:
+        raise DataError(f"no valid window exists for n={n} (need n >= 3)")
+    return max_valid_window(n)
+
+
 def _validate_window(m: int, n: int) -> int:
     if m != int(m):
         raise ParameterError(f"window must be an integer, got {m!r}")
@@ -156,16 +163,19 @@ def window_scan(x: "Sample | np.ndarray", m_max: int | None = None) -> WindowSca
     O(n * m_max); entries whose spacings vanish are flagged, not errors.
     """
     s = as_sample(x)
-    top = max_valid_window(s.n)
-    if top < 1:
-        raise DataError(f"no valid window exists for n={s.n} (need n >= 3)")
-    if m_max is None:
-        m_max = top
-    else:
-        m_max = _validate_window(m_max, s.n)
+    top = _largest_window(s.n)
+    m_max = top if m_max is None else _validate_window(m_max, s.n)
     ms = np.arange(1, m_max + 1)
     values, computable = batch_window_values(s.sorted_values[None, :], ms)
     return WindowScan(windows=ms, values=values[0], computable=computable[0])
+
+
+def _best_columns(V: np.ndarray, admissible: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The window choice, row by row: the column of the largest admissible
+    estimate (the first, i.e. smallest window, on ties; 0 when none) and
+    whether the row has one."""
+    return (np.argmax(np.where(admissible, V, -np.inf), axis=1),
+            np.any(admissible, axis=1))
 
 
 def best_window(x: "Sample | np.ndarray", m_max: int | None = None) -> tuple[int, WindowScan]:
@@ -175,11 +185,10 @@ def best_window(x: "Sample | np.ndarray", m_max: int | None = None) -> tuple[int
     estimate (no null-model constraint involved), along with the scan.
     """
     scan = window_scan(x, m_max)
-    if not np.any(scan.computable):
+    (j,), (found,) = _best_columns(scan.values[None, :], scan.computable[None, :])
+    if not found:
         raise TiesError(
             "no window in range produces positive spacings; too many ties "
             "to estimate entropy from spacings"
         )
-    vals = np.where(scan.computable, scan.values, -np.inf)
-    j = int(np.argmax(vals))  # argmax returns the first (smallest window) maximizer
     return int(scan.windows[j]), scan

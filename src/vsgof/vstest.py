@@ -20,8 +20,9 @@ or fixed null, the whole pipeline re-run per replicate).  Replicates for
 which no window satisfies the constraint, or whose refit fails, are
 dropped from the reference set and counted.
 
-Monte-Carlo runs follow the seeded chunk contract of ``vsgof._mc``:
-results are bitwise identical for any ``threads`` value.
+Monte-Carlo runs follow the seeded chunk contract of ``vsgof._mc``, whose
+``null_map`` draws and evaluates every null replicate: results are bitwise
+identical for any ``threads`` value.
 
 A note on the equivalence mode used by the test-suite identity check: with
 ``relax=True``, ``delta=-1/6`` and a simple normal null whose plug-in scale
@@ -38,13 +39,12 @@ import numpy as np
 from scipy.special import ndtr, psi
 
 from . import distributions as dist
-from ._mc import (blocks, check_count, check_seed, draw_null, draw_rows,
-                  seeded_map)
+from ._mc import check_count, check_seed, null_map
 from .errors import (ConstraintError, DataError, EstimationError,
                      ParameterError, TiesError)
 from .sample import Sample, as_sample, valid_rows
-from .spacing import (WindowScan, batch_window_values, max_valid_window,
-                      vasicek_estimate)
+from .spacing import (WindowScan, _best_columns, _largest_window,
+                      batch_window_values, vasicek_estimate)
 
 __all__ = [
     "TestOptions",
@@ -136,9 +136,7 @@ def candidate_windows(n: int, delta: float, extend: bool = False) -> np.ndarray:
     window.  A small epsilon guards the floor against exact-power rounding.
     """
     n = int(n)
-    top = max_valid_window(n)
-    if top < 1:
-        raise DataError(f"no valid window exists for n={n} (need n >= 3)")
+    top = _largest_window(n)
     _check_delta(delta)
     if extend:
         upper = top
@@ -190,21 +188,16 @@ def statistic_at(x: "Sample | np.ndarray", family: str, params, m: int) -> float
 
 def _select_rows(V: np.ndarray, computable: np.ndarray, loglik: np.ndarray,
                  relax: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The window-selection rule, row by row.
-
-    A window is admissible when its estimate is computable and, unless
-    ``relax``, at most the null bound ``-loglik`` (so the statistic is
-    >= 0).  Returns the column of the largest admissible estimate (the
-    first, i.e. smallest window, on ties; 0 when none) and whether the row
-    has one.  A NaN ``loglik`` (a failed refit) makes the row not ok.
-    """
-    if relax:
-        admissible = computable
-    else:
-        with np.errstate(invalid="ignore"):
-            admissible = computable & (V <= -loglik[:, None])
-    col = np.argmax(np.where(admissible, V, -np.inf), axis=1)
-    return col, np.any(admissible, axis=1) & ~np.isnan(loglik)
+    """The window-selection rule, row by row: ``spacing._best_columns``
+    over the admissible windows.  A window is admissible when its estimate
+    is computable and, unless ``relax``, at most the null bound ``-loglik``
+    (so the statistic is >= 0).  A NaN ``loglik`` (a failed refit) makes
+    the row not ok."""
+    with np.errstate(invalid="ignore"):
+        admissible = (computable if relax
+                      else computable & (V <= -loglik[:, None]))
+    col, found = _best_columns(V, admissible)
+    return col, found & ~np.isnan(loglik)
 
 
 def _scan_and_select(s: Sample, fam, params, delta: float, extend: bool,
@@ -333,18 +326,14 @@ def simulate_null_statistics(family: str, params, n: int, B: int, *,
 
     Returns ``(stats, m_hat, ok)``; entries with ``ok=False`` had no
     admissible window (or a failed re-fit) and must be ignored.  Replicates
-    run in the seeded chunks of ``vsgof._mc``: output is independent of
-    ``threads``.
+    run in the seeded chunks of ``vsgof._mc.null_map``: output is
+    independent of ``threads``.
     """
     fam = dist.resolve_family(family)
     p = fam.validate_params(params)
-
-    def run(size, child):
-        return _null_rows(fam, p, draw_rows(fam, p, n, size, child), refit,
-                          ms, relax)
-
-    chunks, = seeded_map([(seed, run)], check_count(B, "B"), threads=threads)
-    return tuple(np.concatenate(part) for part in zip(*chunks))
+    return null_map(fam, [p], n, B, [seed],
+                    lambda X: _null_rows(fam, p, X, refit, ms, relax),
+                    threads=threads)
 
 
 def monte_carlo_p_value(observed: float, family: str, params, n: int, *,
@@ -389,9 +378,8 @@ def _p_value_rows(fam, X: np.ndarray, seeds: np.ndarray,
     A row's p-value is NaN exactly where ``vs_test`` raises a
     ``VsgofError``: invalid data, data outside the fit interval or the null
     support, a failed fit, no admissible window, or every null replicate
-    discarded.  Null replicates are drawn per row as ``vs_test`` draws
-    them, then refitted, sorted and scanned in blocks of rows
-    (``vsgof._mc.blocks``).
+    discarded.  The null replicates of all rows run through one
+    ``vsgof._mc.null_map``, each row's drawn as ``vs_test`` draws them.
     """
     p_values = np.full(X.shape[0], np.nan)
     n = X.shape[1]
@@ -421,15 +409,12 @@ def _p_value_rows(fam, X: np.ndarray, seeds: np.ndarray,
         p_values[rows] = [asymptotic_p_value(t, m, n)
                           for t, m in zip(stat, m_hat)]
         return p_values
-    B = opts.B
-    for blk in blocks(rows.size, B * n):
-        stats, _, ok = _null_rows(
-            fam, None if refit else params,
-            draw_null(fam, P[blk], n, B, seeds[rows[blk]]), refit, ms,
-            opts.relax)
-        # NaN (0 / 0) where every null replicate was discarded
-        p_values[rows[blk]], _ = _mc_share(stats.reshape(-1, B),
-                                           ok.reshape(-1, B), stat[blk])
+    stats, _, ok = null_map(
+        fam, P, n, opts.B, seeds[rows],
+        lambda X: _null_rows(fam, params, X, refit, ms, opts.relax))
+    # NaN (0 / 0) where every null replicate was discarded
+    p_values[rows], _ = _mc_share(stats.reshape(-1, opts.B),
+                                  ok.reshape(-1, opts.B), stat)
     return p_values
 
 

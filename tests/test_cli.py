@@ -340,3 +340,23 @@ def test_power_semantic_errors_exit_four(tmp_path, capsys):
     code, _, err = run(capsys, "power", str(bad))
     assert code == 4
     assert "null_params" in err
+
+
+@pytest.mark.parametrize("line", ["alt_scale = nan", "alt_shift = inf"])
+def test_power_non_finite_shift_or_scale_exits_four(tmp_path, capsys, line):
+    bad = tmp_path / "non-finite.scenario"
+    bad.write_text(
+        "name = x\n"
+        "null_family = dnorm\n"
+        "null_params = 0, 1\n"
+        "alt_family = dnorm\n"
+        "alt_params = 0, 1\n"
+        f"{line}\n"
+        "tests = vs, ks\n"
+        "n = 20\n"
+        "replicates = 20\n"
+        "seed = 1\n"
+    )
+    code, out, err = run(capsys, "power", str(bad))
+    assert code == 4
+    assert "must be finite" in err and out == ""

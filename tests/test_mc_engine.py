@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import select_window_oracle
+import vsgof._mc
 from vsgof import (ParameterError, PowerScenario, candidate_windows,
-                   edf_mc_p_value, monte_carlo_p_value,
+                   edf_mc_p_value, edf_test, monte_carlo_p_value,
                    run_power_study, vs_test)
 from vsgof.cli import main
 from vsgof.spacing import batch_window_values
@@ -115,6 +116,47 @@ def test_power_study_pinned(threads):
     rows = run_power_study(scn, threads=threads).rows
     assert [(r.n, r.test, r.rejections, r.errors) for r in rows] == [
         (15, "vs", 13, 0), (15, "ad", 7, 0)]
+
+
+# ---------------------------------------------------------------------------
+# block grouping is not part of the contract
+
+
+def _grouped_outputs():
+    """The outputs of every caller of ``vsgof._mc.null_map``; with B = 600
+    a single test draws chunks of 256, 256 and 88 rows, and with B = 300
+    each power replicate spans two chunks."""
+    out = []
+    for n in (20, 60):
+        x = np.random.default_rng(412).gamma(2.0, 1.5, size=n)
+        for params in ((2.0, 1.5), None):  # simple, composite
+            for threads in (1, 2):
+                r = vs_test(x, "gamma", fixed_params=params, B=600, seed=21,
+                            simulate_p_value=True, threads=threads)
+                out.append((r.p_value, r.ignored_replicates))
+    x = np.random.default_rng(413).normal(0.2, 1.1, size=20)
+    for test_id in ("ks", "ad"):
+        out.append(edf_test(x, "normal", (0.0, 1.0), test_id, B=600,
+                            seed=22).p_value)
+    for n in (20, 60):
+        null = simulate_null_statistics(
+            "gamma", (2.0, 1.5), n, 600, refit=True, seed=23,
+            ms=candidate_windows(n, 1.0 / 12.0, True))
+        out.append([a.tobytes() for a in null])
+    scn = PowerScenario(
+        name="grouping", null_family="dexp", null_params=(1.0,),
+        alt_family="dweibull", alt_params=(1.2, 1.0), tests=("vs", "ks"),
+        n_values=(20,), replicates=60, B=300, seed=24)
+    out.append([(r.rejections, r.errors) for r in run_power_study(scn).rows])
+    return out
+
+
+@pytest.mark.parametrize("block", [1, 2 ** 40])
+def test_block_grouping_changes_no_bit(monkeypatch, block):
+    # 1: one chunk per block; 2**40: every chunk of a call in one block
+    default = _grouped_outputs()
+    monkeypatch.setattr(vsgof._mc, "BLOCK", block)
+    assert _grouped_outputs() == default
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,20 @@ def test_scenario_validation_rejects(over):
         PowerScenario(**base_kwargs(**over))
 
 
+@pytest.mark.parametrize("key", ["alt_shift", "alt_scale"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_shift_or_scale_rejected(key, value):
+    # such a scenario would only run into an error on every replicate
+    with pytest.raises(ParameterError, match="finite"):
+        PowerScenario(**base_kwargs(**{key: value}))
+
+
+def test_non_finite_scale_in_a_scenario_file_rejected(tmp_path):
+    text = MINIMAL.replace("alt_scale = 2", "alt_scale = nan")
+    with pytest.raises(ParameterError, match="alt_scale finite"):
+        parse_scenario_file(write(tmp_path, text))
+
+
 def test_edf_only_scenario_allows_n_two():
     scn = PowerScenario(
         **base_kwargs(tests=("ks",), null_params=(0.0, 1.0), n_values=(2,))
