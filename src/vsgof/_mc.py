@@ -12,10 +12,18 @@ come back in order.  Every evaluation is row-wise, a row's result never
 depending on the rows stacked with it, so neither the grouping nor the
 thread count changes a bit; the seed and the chunk size are the contract.
 ``seeded_map`` runs power cells' chunks of ``CELL_CHUNK`` = 50 replicates.
+
+A single test's null reference depends on its key (family, parameters, n,
+options, B, seed), not on the data: ``null_reference`` keeps recent ones,
+sorted, in one thread-safe LRU, so a repeated key costs a ``searchsorted``
+that counts what a fresh simulation would.  Power cells, whose seeds never
+repeat, do not use it.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -27,6 +35,12 @@ CELL_CHUNK = 50  # replicates per chunk of a power-study cell
 # null values (rows x n) per block of chunks evaluated at once; a block
 # holds at least one chunk
 BLOCK = 2 ** 14
+# 8-byte values (512 KiB) the null-reference cache keeps, its keys' arrays
+# included; a larger reference serves its own call but is not kept
+REFERENCE_VALUES = 2 ** 16
+_references: OrderedDict = OrderedDict()  # key -> (ref, total, cost)
+_stored = 0  # the summed cost of the cached references
+_lock = threading.Lock()
 
 
 def check_count(k, name: str) -> int:
@@ -112,3 +126,33 @@ def seeded_map(jobs, total: int, *, threads: int = 1,
     out = _run_all(lambda task: task[0](*task[1:]), tasks, threads)
     k = len(tasks) // len(jobs) if jobs else 0
     return [out[i * k:(i + 1) * k] for i in range(len(jobs))]
+
+
+
+def null_reference(fields: tuple, B, seed, threads, build
+                   ) -> tuple[np.ndarray, int]:
+    """The sorted, read-only null statistics of the key ``fields`` + (B,
+    seed) and the total a p-value divides by; B, ``threads`` and the seed
+    are checked as ``null_map`` checks them.  On a miss ``build()`` gives
+    a fresh array of the statistics, sorted here in place, and the total;
+    NaNs, which no comparison counts, are dropped."""
+    global _stored
+    B = check_count(B, "B")
+    check_count(threads, "threads")
+    key = (*fields, B, check_seed(seed))
+    with _lock:
+        if key in _references:
+            _references.move_to_end(key)
+            return _references[key][:2]
+    ref, total = build()
+    ref.sort()  # NaNs sort last
+    if ref.size and np.isnan(ref[-1]):
+        ref = ref[:np.searchsorted(ref, np.nan)]
+    ref.flags.writeable = False
+    cost = ref.size + sum(len(f) for f in key if isinstance(f, bytes)) // 8
+    with _lock:
+        if cost <= REFERENCE_VALUES and key not in _references:
+            _references[key], _stored = (ref, total, cost), _stored + cost
+            while _stored > REFERENCE_VALUES:
+                _stored -= _references.popitem(last=False)[1][2]
+    return ref, total

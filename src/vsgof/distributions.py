@@ -80,6 +80,17 @@ def _lbeta(a, b):
     return gammaln(a) + gammaln(b) - gammaln(np.asarray(a) + np.asarray(b))
 
 
+def _betaincinv(a, b, q):
+    """``betaincinv``, or where it fails for q > 0 (NaN, or the smallest
+    normal float, at q below ~1e-200) the series y = (a B(a, b) q)^(1/a)."""
+    q = np.asarray(q, dtype=float)
+    y = betaincinv(a, b, q)
+    with np.errstate(divide="ignore"):
+        return np.where((q > 0) & ~(y > _TINY),
+                        np.exp((np.log(a) + _lbeta(a, b) + np.log(q)) / a),
+                        y)[()]
+
+
 def _spread(X: np.ndarray) -> np.ndarray:
     """Rows whose observations are not all equal."""
     return X.max(axis=1) > X.min(axis=1)
@@ -295,12 +306,14 @@ class _Normal(_Family):
     def log_density(self, params, x):
         mu, sd = params[0], params[1]
         x = np.asarray(x, dtype=float)
-        z = (x - mu) / sd
-        return -np.log(np.asarray(sd)) - 0.5 * _LOG_2PI - 0.5 * z * z
+        with np.errstate(over="ignore"):  # -inf: below the float range
+            z = (x - mu) / sd
+            return -np.log(np.asarray(sd)) - 0.5 * _LOG_2PI - 0.5 * z * z
 
     def cdf(self, params, x):
         mu, sd = params[0], params[1]
-        return ndtr((np.asarray(x, dtype=float) - mu) / sd)
+        with np.errstate(over="ignore"):
+            return ndtr((np.asarray(x, dtype=float) - mu) / sd)
 
     def quantile(self, params, q):
         mu, sd = params[0], params[1]
@@ -579,8 +592,7 @@ class _Fisher(_Family):
 
     def quantile(self, params, q):
         d1, d2 = params[0], params[1]
-        y = betaincinv(0.5 * np.asarray(d1), 0.5 * np.asarray(d2),
-                       np.asarray(q, dtype=float))
+        y = _betaincinv(0.5 * np.asarray(d1), 0.5 * np.asarray(d2), q)
         with np.errstate(divide="ignore", invalid="ignore"):
             return d2 * y / (d1 * (1.0 - y))
 
@@ -677,13 +689,15 @@ class _Laplace(_Family):
     def log_density(self, params, x):
         mu, sc = params[0], params[1]
         x = np.asarray(x, dtype=float)
-        return -np.log(2.0 * np.asarray(sc)) - np.abs(x - mu) / sc
+        with np.errstate(over="ignore"):  # -inf: below the float range
+            return -np.log(2.0 * np.asarray(sc)) - np.abs(x - mu) / sc
 
     def cdf(self, params, x):
         mu, sc = params[0], params[1]
         x = np.asarray(x, dtype=float)
-        z = (x - mu) / sc
-        return np.where(z < 0, 0.5 * np.exp(z), 1.0 - 0.5 * np.exp(-z))
+        with np.errstate(over="ignore"):
+            z = (x - mu) / sc
+            return np.where(z < 0, 0.5 * np.exp(z), 1.0 - 0.5 * np.exp(-z))
 
     def quantile(self, params, q):
         mu, sc = params[0], params[1]
@@ -724,7 +738,7 @@ class _Beta(_Family):
 
     def quantile(self, params, q):
         a, b = params[0], params[1]
-        return betaincinv(a, b, np.asarray(q, dtype=float))
+        return _betaincinv(a, b, q)
 
     def sample(self, params, size, rng):
         a, b = float(params[0]), float(params[1])

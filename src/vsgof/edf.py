@@ -8,7 +8,8 @@ parameter) variants are deliberately not provided.
 
 Monte-Carlo replication runs through ``vsgof._mc.null_map`` and follows
 its seeded chunk contract, so p-values are bitwise identical for any
-thread count.
+thread count; a repeated (family, params, n, test, B, seed) reuses its
+null reference, bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distributions as dist
-from ._mc import check_count, null_map
+from ._mc import check_count, null_map, null_reference
 from .errors import DataError, ParameterError
 from .sample import Sample, as_sample, valid_rows
 from .vstest import _null_loglik, _support_loglik
@@ -125,12 +126,6 @@ def ad_statistic(x: "Sample | np.ndarray", family: str, params) -> float:
     return _observed(x, family, params, _ad_rows)[0]
 
 
-def _edf_share(null: np.ndarray, observed: np.ndarray) -> np.ndarray:
-    """Monte-Carlo p-values along the last axis: the share of the null
-    statistics at or above ``observed``."""
-    return (null >= observed[..., None]).sum(axis=-1) / null.shape[-1]
-
-
 def edf_mc_p_value(x: "Sample | np.ndarray", family: str, params,
                    test_id: str, *, B: int = 5000, seed: int | None = None,
                    threads: int = 1) -> float:
@@ -149,9 +144,13 @@ def edf_test(x: "Sample | np.ndarray", family: str, params, test_id: str, *,
     key, kernel = _resolve_test(test_id)
     B = check_count(B, "B")
     observed, s, fam, p = _observed(x, family, params, kernel)
-    null, = null_map(fam, [p], s.n, B, [seed],
-                     lambda X: (kernel(_pit_rows(fam, p, X)),), threads=threads)
-    p_value = float(_edf_share(null, np.float64(observed)))
+    ref, _ = null_reference(
+        (fam.family_id, p.tobytes(), s.n, key), B, seed, threads,
+        lambda: (null_map(fam, [p], s.n, B, [seed],
+                          lambda X: (kernel(_pit_rows(fam, p, X)),),
+                          threads=threads)[0], B))
+    # the share of the B null statistics at or above the observed one
+    p_value = float((ref.size - np.searchsorted(ref, observed, "left")) / B)
     return EdfTestReport(family_id=fam.family_id, n=s.n, test_id=key,
                          statistic=observed, p_value=p_value, B=B,
                          seed=int(seed))
@@ -174,5 +173,6 @@ def _p_value_rows(fam, params: np.ndarray, test_id: str, X: np.ndarray,
     rows, observed = rows[keep], kernel(U[keep])
     null, = null_map(fam, [params] * rows.size, n, B, seeds[rows],
                      lambda X: (kernel(_pit_rows(fam, params, X)),))
-    p_values[rows] = _edf_share(null.reshape(-1, B), observed)
+    # the share of each row's null statistics at or above its observed one
+    p_values[rows] = (null.reshape(-1, B) >= observed[:, None]).sum(1) / B
     return p_values

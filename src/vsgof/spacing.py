@@ -76,10 +76,12 @@ def batch_window_values(sorted_rows: np.ndarray, windows: np.ndarray) -> tuple[n
     ParameterError
         if some window is outside 1 <= m < n/2.
 
-    Each window costs one subtraction pass, one in-place log and one row
-    mean over a single (B, n) buffer reused across windows.  A zero spacing
-    makes the row mean -inf and a NaN spacing makes it NaN, so ``mean >
-    -inf`` is the computability flag.
+    The order statistics, clamped at both ends, are laid out once per
+    call, padded with ``max(windows)`` copies of the first and last value;
+    each window then costs one subtraction, one in-place log and one row
+    mean over a single (B, n) buffer reused across windows.  A zero
+    spacing makes the row mean -inf and a NaN spacing makes it NaN, so
+    ``mean > -inf`` is the computability flag.
     """
     S = np.asarray(sorted_rows, dtype=float)
     if S.ndim == 1:
@@ -92,13 +94,16 @@ def batch_window_values(sorted_rows: np.ndarray, windows: np.ndarray) -> tuple[n
             f"for n={n}")
     values = np.empty((B, ms.shape[0]))
     computable = np.empty((B, ms.shape[0]), dtype=bool)
+    top = int(ms.max()) if ms.size else 0
+    # P[:, top + k] is x_(k) with k clamped to 0..n-1
+    P = np.empty((B, n + 2 * top))
+    P[:, :top], P[:, top:top + n], P[:, top + n:] = S[:, :1], S, S[:, -1:]
     gaps = np.empty((B, n))
     with np.errstate(divide="ignore", invalid="ignore"):
         for j, m in enumerate(ms):
             # x_(i+m) - x_(i-m), order statistics clamped at both ends
-            np.subtract(S[:, m:2 * m], S[:, :1], out=gaps[:, :m])
-            np.subtract(S[:, 2 * m:], S[:, :n - 2 * m], out=gaps[:, m:n - m])
-            np.subtract(S[:, n - 1:], S[:, n - 2 * m:n - m], out=gaps[:, n - m:])
+            np.subtract(P[:, top + m:top + m + n], P[:, top - m:top - m + n],
+                        out=gaps)
             np.log(gaps, out=gaps)
             mean = gaps.mean(axis=1)
             ok = mean > -np.inf

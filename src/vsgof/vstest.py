@@ -22,7 +22,8 @@ dropped from the reference set and counted.
 
 Monte-Carlo runs follow the seeded chunk contract of ``vsgof._mc``, whose
 ``null_map`` draws and evaluates every null replicate: results are bitwise
-identical for any ``threads`` value.
+identical for any ``threads`` value, and a test repeated with the same
+null, options, B and seed reuses its null reference, bit for bit.
 
 A note on the equivalence mode used by the test-suite identity check: with
 ``relax=True``, ``delta=-1/6`` and a simple normal null whose plug-in scale
@@ -39,7 +40,7 @@ import numpy as np
 from scipy.special import ndtr, psi
 
 from . import distributions as dist
-from ._mc import check_count, check_seed, null_map
+from ._mc import check_count, check_seed, null_map, null_reference
 from .errors import (ConstraintError, DataError, EstimationError,
                      ParameterError, TiesError)
 from .sample import Sample, as_sample, valid_rows
@@ -163,10 +164,14 @@ def _support_loglik(fam, params: np.ndarray, s: Sample) -> float:
     parameters."""
     loglik, inside = _null_loglik(fam, params, s.values)
     if not inside.all():
-        bad = np.flatnonzero(~inside)
+        bad = np.flatnonzero(~inside).tolist()[:10]
+        if fam.support_text == "the real line":  # every finite value is in it
+            raise DataError(
+                f"the {fam.family_id} null log-density at positions {bad} "
+                f"is below the float range (too far from the null)")
         raise DataError(
             f"observations outside the {fam.family_id} support "
-            f"({fam.support_text}) at positions {bad.tolist()[:10]}"
+            f"({fam.support_text}) at positions {bad}"
         )
     return float(loglik)
 
@@ -345,29 +350,30 @@ def monte_carlo_p_value(observed: float, family: str, params, n: int, *,
 
     Returns ``(p_value, ignored)`` where ``ignored`` counts the discarded
     replicates; raises EstimationError if every replicate is discarded.
+    A key seen before reuses its reference (``vsgof._mc.null_reference``);
+    a new one runs :func:`simulate_null_statistics`.
     """
-    stats, _, ok = simulate_null_statistics(
-        family, params, n, B, refit=refit, ms=ms, relax=relax,
-        seed=seed, threads=threads)
-    p, kept = _mc_share(stats, ok, np.float64(observed))
+    fam = dist.resolve_family(family)
+    p = fam.validate_params(params)
+
+    def build():
+        stats, _, ok = simulate_null_statistics(
+            family, params, n, B, refit=refit, ms=ms, relax=relax,
+            seed=seed, threads=threads)
+        return stats[ok], int(ok.sum())
+
+    ref, kept = null_reference(
+        (fam.family_id, p.tobytes(), n, bool(refit),
+         np.asarray(ms, dtype=int).tobytes(), bool(relax)),
+        B, seed, threads, build)
     if not kept:
         raise EstimationError(
             "every Monte-Carlo replicate was discarded (no admissible "
             "window, or a failed refit); the null model cannot be simulated "
             "at this sample size"
         )
-    return float(p), int(B - kept)
-
-
-def _mc_share(stats: np.ndarray, ok: np.ndarray, observed: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Monte-Carlo p-values along the last axis: the share of the kept null
-    statistics (``ok``) strictly above ``observed``, and the kept counts.
-    There is no p-value where nothing was kept."""
-    kept = ok.sum(axis=-1)
-    above = (ok & (stats > observed[..., None])).sum(axis=-1)
-    with np.errstate(invalid="ignore"):
-        return above / kept, kept
+    above = ref.size - np.searchsorted(ref, np.float64(observed), "right")
+    return float(above / kept), int(B - kept)
 
 
 def _p_value_rows(fam, X: np.ndarray, seeds: np.ndarray,
@@ -412,9 +418,12 @@ def _p_value_rows(fam, X: np.ndarray, seeds: np.ndarray,
     stats, _, ok = null_map(
         fam, P, n, opts.B, seeds[rows],
         lambda X: _null_rows(fam, params, X, refit, ms, opts.relax))
-    # NaN (0 / 0) where every null replicate was discarded
-    p_values[rows], _ = _mc_share(stats.reshape(-1, opts.B),
-                                  ok.reshape(-1, opts.B), stat)
+    # the share of each row's kept null statistics strictly above its
+    # observed one; NaN (0 / 0) where every null replicate was discarded
+    stats, ok = stats.reshape(-1, opts.B), ok.reshape(-1, opts.B)
+    with np.errstate(invalid="ignore"):
+        p_values[rows] = ((ok & (stats > stat[:, None])).sum(1)
+                          / ok.sum(1))
     return p_values
 
 

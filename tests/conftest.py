@@ -1,10 +1,31 @@
-"""Shared pure-Python oracles for the test suite.
+"""Shared pure-Python oracles and fixtures for the test suite.
 
-Everything here is deliberately written without numpy vectorization so it
-stays an independent cross-check of the library's array code.
+The oracles are deliberately written without numpy vectorization so they
+stay an independent cross-check of the library's array code.
 """
 
 import math
+from collections import OrderedDict
+
+import pytest
+
+import vsgof._mc
+
+
+@pytest.fixture(autouse=True)
+def fresh_null_references(monkeypatch):
+    """Every test starts with an empty null-reference cache, so that no
+    result depends on the tests run before it."""
+    monkeypatch.setattr(vsgof._mc, "_references", OrderedDict())
+    monkeypatch.setattr(vsgof._mc, "_stored", 0)
+
+
+@pytest.fixture
+def uncached(monkeypatch):
+    """Keep no null reference: every Monte-Carlo call simulates, for tests
+    that compare runs (thread counts, block sizes) which would otherwise
+    share one."""
+    monkeypatch.setattr(vsgof._mc, "REFERENCE_VALUES", 0)
 
 
 def spacing_oracle(values, m):

@@ -298,7 +298,7 @@ def test_criterion_09_likelihood_ratio_identity():
     assert worst <= 1e-10, worst
 
 
-def test_criterion_10_bitwise_thread_determinism():
+def test_criterion_10_bitwise_thread_determinism(uncached):
     x = np.random.default_rng(1020).gamma(2.0, size=50)
     reports = [vs_test(x, "gamma", B=600, seed=6, threads=t) for t in (1, 2, 8)]
     same_test = (

@@ -141,6 +141,13 @@ def test_overflowing_spread_exits_three(tmp_path, capsys):
     assert code == 3 and "spread" in err
 
 
+def test_log_density_below_float_range_exits_three(tmp_path, capsys):
+    path = datafile(tmp_path, [1e155, -1e155, 0.0, 1.0, 2.0, 3.0])
+    code, _, err = run(capsys, "test", path, "--family", "dnorm",
+                       "--params=0,1", "--seed", "1", "--B", "10")
+    assert code == 3 and "below the float range" in err
+
+
 def test_invalid_thread_count_exits_four(tmp_path, capsys):
     x = np.random.default_rng(57).normal(size=40)
     path = datafile(tmp_path, x)

@@ -208,6 +208,35 @@ def test_quantile_roundtrip(fid):
     assert np.allclose(back, qs, rtol=0.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("fid, params", [("fisher", (5.0, 10.0)),
+                                         ("beta", (2.5, 5.0))])
+@pytest.mark.parametrize("q", [1e-200, 1e-300, 5e-324])
+def test_quantile_at_tiny_levels_against_mpmath(fid, params, q):
+    # betaincinv gives NaN below q ~ 1e-200; the small-q series takes over
+    import mpmath as mp
+    with mp.workdps(50):
+        if fid == "fisher":
+            a, b = mp.mpf(params[0]) / 2, mp.mpf(params[1]) / 2
+        else:
+            a, b = map(mp.mpf, params)
+        start = (a * mp.beta(a, b) * mp.mpf(q)) ** (1 / a)
+        y = mp.exp(mp.findroot(
+            lambda t: mp.log(mp.betainc(a, b, 0, mp.exp(t), regularized=True))
+            - mp.log(mp.mpf(q)), mp.log(start)))
+        want = (params[1] * y / (params[0] * (1 - y)) if fid == "fisher"
+                else y)
+        got = float(quantile(fid, params, q))
+        assert abs(got - want) <= 1e-12 * want
+
+
+def test_real_line_cdf_far_out_leaks_no_warning():
+    # the laplace formula's unused branch overflows in exp past |z| ~ 709,
+    # and x - mu overflows for a location near the float limit
+    assert cdf("laplace", (0.0, 1.0), np.array([-800.0, 800.0])).tolist() == [
+        0.0, 1.0]
+    assert cdf("normal", (-1e308, 1.0), np.array([1e308])).tolist() == [1.0]
+
+
 def test_quantile_rejects_bad_levels():
     with pytest.raises(ParameterError):
         quantile("normal", (0.0, 1.0), [-0.2])

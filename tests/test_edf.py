@@ -99,6 +99,13 @@ def test_degenerate_pit_rejected():
         ks_statistic(np.array([1.5, 2.0, 3.0]), "uniform", (0.0, 1.0))
 
 
+def test_normal_log_density_below_float_range_rejected_like_vs_test():
+    x = np.array([1e155, -1e155, 0.0, 1.0, 2.0, 3.0])
+    with pytest.raises(DataError, match=r"normal null log-density at "
+                       r"positions \[0, 1\] is below the float range"):
+        edf_test(x, "dnorm", (0.0, 1.0), "ks", B=10, seed=1)
+
+
 def test_observation_outside_support_rejected_like_vs_test():
     # One value below the exponential support: the PIT is not degenerate,
     # but the EDF path must refuse the data as vs_test does.
@@ -127,7 +134,7 @@ def test_p_value_counts_ties_as_extreme():
     assert p == 1.0
 
 
-def test_p_value_deterministic_across_threads():
+def test_p_value_deterministic_across_threads(uncached):
     rng = np.random.default_rng(44)
     x = rng.normal(size=50)
     ps = [

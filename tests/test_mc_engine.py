@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import select_window_oracle
 import vsgof._mc
@@ -152,7 +152,7 @@ def _grouped_outputs():
 
 
 @pytest.mark.parametrize("block", [1, 2 ** 40])
-def test_block_grouping_changes_no_bit(monkeypatch, block):
+def test_block_grouping_changes_no_bit(uncached, monkeypatch, block):
     # 1: one chunk per block; 2**40: every chunk of a call in one block
     default = _grouped_outputs()
     monkeypatch.setattr(vsgof._mc, "BLOCK", block)
@@ -219,7 +219,9 @@ def test_select_rows_matches_brute_force_oracle(relax):
 # thread-count invariance and seed checks
 
 
-@settings(max_examples=12, deadline=None)
+# ``uncached`` is one constant setting for every example
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     null=st.sampled_from([("normal", (0.0, 1.0)), ("exponential", (2.0,)),
                           ("gamma", (2.0, 1.0)), ("pareto", (1.0, 1.0))]),
@@ -230,8 +232,8 @@ def test_select_rows_matches_brute_force_oracle(relax):
     refit=st.booleans(),
     relax=st.booleans(),
 )
-def test_results_invariant_to_thread_count(null, n, B, seed, threads, refit,
-                                           relax):
+def test_results_invariant_to_thread_count(uncached, null, n, B, seed,
+                                           threads, refit, relax):
     family, params = null
     ms = candidate_windows(n, 1.0 / 12.0, True)
     one = simulate_null_statistics(family, params, n, B, refit=refit,
@@ -261,7 +263,7 @@ def test_bad_replicate_counts_raise_parameter_error(bad_B):
                             refit=False, ms=np.arange(1, 3), seed=1)
 
 
-def test_numpy_integer_seed_equals_int_seed():
+def test_numpy_integer_seed_equals_int_seed(uncached):
     x = np.random.default_rng(410).normal(size=20)
     assert (vs_test(x, "normal", seed=np.int64(5), B=50).p_value
             == vs_test(x, "normal", seed=5, B=50).p_value)

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import select_window_oracle, spacing_oracle, window_bound_oracle
 
+from vsgof import distributions as dist
 from vsgof.errors import (
     ConstraintError,
     DataError,
@@ -19,6 +20,7 @@ from vsgof.errors import (
 )
 from vsgof.vstest import (
     TestOptions,
+    _p_value_rows,
     asymptotic_p_value,
     bias_b,
     candidate_windows,
@@ -114,6 +116,25 @@ def test_empirical_null_loglik_exact():
 def test_empirical_null_loglik_support_violation():
     with pytest.raises(DataError, match=r"positions \[0, 2\]"):
         empirical_null_loglik(np.array([-1.0, 2.0, 0.0]), "lognormal", (0.0, 1.0))
+
+
+@pytest.mark.parametrize("family, params, x", [
+    ("dnorm", (0.0, 1.0), [1e155, -1e155, 0.0, 1.0, 2.0, 3.0]),
+    ("dlaplace", (-1e308, 1.0), [1e308, 0.0, 1.0, 2.0, 3.0, 4.0]),
+])
+def test_log_density_below_float_range_is_not_outside_the_real_line(
+        family, params, x):
+    # the log-density overflows to -inf at finite values; no warning leaks
+    # (RuntimeWarning is an error in this suite) and the message says why
+    match = r"null log-density at positions \[0(, 1)?\] is below the float range"
+    with pytest.raises(DataError, match=match):
+        vs_test(np.array(x), family, fixed_params=params, seed=1, B=10)
+    with pytest.raises(DataError, match=match):
+        empirical_null_loglik(np.array(x), family, params)
+    opts = TestOptions(fixed_params=params, B=10, simulate_p_value=True)
+    p = _p_value_rows(dist.resolve_family(family), np.array([x]),
+                      np.array([1]), opts)
+    assert np.isnan(p[0])  # a power replicate counts it as an error
 
 
 def test_statistic_at_four_point_uniform():
@@ -455,7 +476,7 @@ def test_report_scan_is_consistent():
     ) == pytest.approx(report.statistic, abs=1e-12)
 
 
-def test_vs_test_threads_do_not_change_results():
+def test_vs_test_threads_do_not_change_results(uncached):
     x = np.random.default_rng(31).gamma(2.0, size=50)
     reports = [vs_test(x, "gamma", B=600, seed=6, threads=t) for t in (1, 2, 8)]
     assert reports[0].p_value == reports[1].p_value == reports[2].p_value
