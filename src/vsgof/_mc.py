@@ -13,11 +13,12 @@ depending on the rows stacked with it, so neither the grouping nor the
 thread count changes a bit; the seed and the chunk size are the contract.
 ``seeded_map`` runs power cells' chunks of ``CELL_CHUNK`` = 50 replicates.
 
-A single test's null reference depends on its key (family, parameters, n,
-options, B, seed), not on the data: ``null_reference`` keeps recent ones,
-sorted, in one thread-safe LRU, so a repeated key costs a ``searchsorted``
-that counts what a fresh simulation would.  Power cells, whose seeds never
-repeat, do not use it.
+Null references take two paths on purpose.  A single test's depends on
+its key (family, parameters, n, options, B, seed), not on the data:
+``null_reference`` keeps recent ones, sorted, in one thread-safe LRU, so
+a repeated key costs a ``searchsorted`` that counts what a fresh
+simulation would.  A power cell's replicates never repeat a seed, so they
+skip the cache and stack their references in one ``null_map`` call.
 """
 
 from __future__ import annotations
@@ -112,9 +113,9 @@ def _run_all(fn, items: list, threads: int) -> list:
     return [fn(item) for item in items]
 
 
-def seeded_map(jobs, total: int, *, threads: int = 1,
-               chunk: int = CHUNK) -> list[list]:
-    """Run every job's ``fn(size, child)`` over ``total`` replicates.
+def seeded_map(jobs, total: int, *, threads: int = 1) -> list[list]:
+    """Run every job's ``fn(size, child)`` over ``total`` replicates, in
+    chunks of ``CELL_CHUNK``.
 
     ``jobs`` lists ``(seed, fn)`` pairs, the seed an int or a
     ``SeedSequence``.  Returns, per job, the results of its chunks in
@@ -122,7 +123,7 @@ def seeded_map(jobs, total: int, *, threads: int = 1,
     """
     threads = check_count(threads, "threads")
     tasks = [(fn, size, child) for seed, fn in jobs
-             for size, child in seed_chunks(seed, total, chunk)]
+             for size, child in seed_chunks(seed, total, CELL_CHUNK)]
     out = _run_all(lambda task: task[0](*task[1:]), tasks, threads)
     k = len(tasks) // len(jobs) if jobs else 0
     return [out[i * k:(i + 1) * k] for i in range(len(jobs))]

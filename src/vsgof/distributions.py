@@ -541,7 +541,7 @@ class _Pareto(_Family):
     def quantile(self, params, q):
         mu, c = params[0], params[1]
         q = np.asarray(q, dtype=float)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):  # inf: the rounding
             return c * (1.0 - q) ** (-1.0 / mu)
 
     def fit_rows(self, X):

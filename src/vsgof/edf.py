@@ -6,10 +6,13 @@ p-values under the simple null.  These are the reference tests the power
 harness compares the spacing-based test against; composite (estimated
 parameter) variants are deliberately not provided.
 
-Monte-Carlo replication runs through ``vsgof._mc.null_map`` and follows
-its seeded chunk contract, so p-values are bitwise identical for any
-thread count; a repeated (family, params, n, test, B, seed) reuses its
-null reference, bit for bit.
+The observed statistic has one path, ``_observed_rows``, with a cause
+code per row: a single test is row 0 of it, a power cell runs its
+replicates as the rows.  Monte-Carlo replication runs through
+``vsgof._mc.null_map`` and follows its seeded chunk contract, so p-values
+are bitwise identical for any thread count.  A single test reuses the
+null reference of a repeated (family, params, n, test, B, seed); a power
+cell, whose seeds never repeat, stacks its replicates' in one call.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ import numpy as np
 
 from . import distributions as dist
 from ._mc import check_count, null_map, null_reference
-from .errors import DataError, ParameterError
+from .errors import (DEGENERATE_PIT, INVALID_DATA, OK, OUTSIDE_SUPPORT,
+                     ParameterError)
 from .sample import Sample, as_sample, valid_rows
-from .vstest import _null_loglik, _support_loglik
+from .vstest import _raise_cause
 
 __all__ = [
     "EdfTestReport",
@@ -96,34 +100,49 @@ def _resolve_test(test_id: str):
     return key, _KERNELS[key]
 
 
-def _observed(x, family, params, kernel):
+def _observed_rows(fam, params: np.ndarray, X: np.ndarray, kernel,
+                   checked: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The cause and the statistic of :func:`edf_test` on every row of X,
+    the statistic NaN unless the cause is OK.  The causes come in the
+    single test's order: invalid data, a degenerate PIT, data outside the
+    null support; each is assigned after those it yields to, so that it
+    overrides them.  ``checked`` says that X is one ``Sample``'s values,
+    which are valid."""
+    U = _pit_rows(fam, params, X)
+    cause = np.full(X.shape[0], OK)
+    cause[~np.isfinite(fam.log_density(params, X)).all(axis=1)] = OUTSIDE_SUPPORT
+    cause[_degenerate_pit(U)] = DEGENERATE_PIT
+    if not checked:
+        cause[~valid_rows(X)] = INVALID_DATA
+    return cause, np.where(cause == OK, kernel(U), np.nan)
+
+
+def _statistic(x, family, params, kernel):
+    """The statistic of one sample, row 0 of :func:`_observed_rows`; raises
+    the error of its cause."""
     s = as_sample(x)
     fam = dist.resolve_family(family)
     p = fam.validate_params(params)
-    u = _pit_rows(fam, p, s.values[None, :])
-    if _degenerate_pit(u)[0]:
-        raise DataError(
-            "the probability integral transform is degenerate (every value "
-            "maps to 0 or 1); the fixed null puts no mass where the data lie"
-        )
-    _support_loglik(fam, p, s)  # DataError outside support
-    return float(kernel(u)[0]), s, fam, p
+    cause, stat = _observed_rows(fam, p, s.values[None, :], kernel, True)
+    if cause[0]:
+        _raise_cause(fam, s, cause[0], p)
+    return float(stat[0]), s, fam, p
 
 
 def ks_statistic(x: "Sample | np.ndarray", family: str, params) -> float:
     """Kolmogorov-Smirnov distance max_i max(i/n - u_(i), u_(i) - (i-1)/n)."""
-    return _observed(x, family, params, _ks_rows)[0]
+    return _statistic(x, family, params, _ks_rows)[0]
 
 
 def cvm_statistic(x: "Sample | np.ndarray", family: str, params) -> float:
     """Cramer-von Mises statistic 1/(12n) + sum_i (u_(i) - (2i-1)/(2n))^2."""
-    return _observed(x, family, params, _cvm_rows)[0]
+    return _statistic(x, family, params, _cvm_rows)[0]
 
 
 def ad_statistic(x: "Sample | np.ndarray", family: str, params) -> float:
     """Anderson-Darling statistic
     -n - (1/n) sum_i (2i-1) [log u_(i) + log(1 - u_(n+1-i))]."""
-    return _observed(x, family, params, _ad_rows)[0]
+    return _statistic(x, family, params, _ad_rows)[0]
 
 
 def edf_mc_p_value(x: "Sample | np.ndarray", family: str, params,
@@ -143,7 +162,7 @@ def edf_test(x: "Sample | np.ndarray", family: str, params, test_id: str, *,
     """Run one EDF test of a fully specified null against the sample."""
     key, kernel = _resolve_test(test_id)
     B = check_count(B, "B")
-    observed, s, fam, p = _observed(x, family, params, kernel)
+    observed, s, fam, p = _statistic(x, family, params, kernel)
     ref, _ = null_reference(
         (fam.family_id, p.tobytes(), s.n, key), B, seed, threads,
         lambda: (null_map(fam, [p], s.n, B, [seed],
@@ -157,22 +176,19 @@ def edf_test(x: "Sample | np.ndarray", family: str, params, test_id: str, *,
 
 
 def _p_value_rows(fam, params: np.ndarray, test_id: str, X: np.ndarray,
-                  seeds: np.ndarray, B: int) -> np.ndarray:
+                  seeds: np.ndarray, B: int) -> tuple[np.ndarray, np.ndarray]:
     """The p-value of :func:`edf_test` on every row of X at once, row i with
-    seed ``seeds[i]``; NaN exactly where ``edf_test`` raises a
-    ``VsgofError`` (invalid data, a degenerate PIT, data outside the null
-    support).  The null replicates of all rows run through one
-    ``vsgof._mc.null_map``, each row's drawn as ``edf_test`` draws them."""
+    seed ``seeds[i]``, and the cause of each row; the p-value is NaN
+    exactly where ``edf_test`` raises a ``VsgofError``.  The null
+    replicates of all rows run through one ``vsgof._mc.null_map``, each
+    row's drawn as ``edf_test`` draws them."""
     _, kernel = _resolve_test(test_id)
-    p_values = np.full(X.shape[0], np.nan)
-    n = X.shape[1]
-    rows = np.flatnonzero(valid_rows(X))
-    U = _pit_rows(fam, params, X[rows])
-    _, inside = _null_loglik(fam, params, X[rows])
-    keep = ~_degenerate_pit(U) & inside.all(axis=1)
-    rows, observed = rows[keep], kernel(U[keep])
-    null, = null_map(fam, [params] * rows.size, n, B, seeds[rows],
+    cause, observed = _observed_rows(fam, params, X, kernel)
+    rows = np.flatnonzero(cause == OK)
+    null, = null_map(fam, [params] * rows.size, X.shape[1], B, seeds[rows],
                      lambda X: (kernel(_pit_rows(fam, params, X)),))
     # the share of each row's null statistics at or above its observed one
-    p_values[rows] = (null.reshape(-1, B) >= observed[:, None]).sum(1) / B
-    return p_values
+    p_values = np.full(X.shape[0], np.nan)
+    p_values[rows] = (null.reshape(-1, B)
+                      >= observed[rows, None]).sum(1) / B
+    return p_values, cause

@@ -55,3 +55,43 @@ class EstimationError(VsgofError):
 class CapabilityError(VsgofError):
     """The requested quantity is not available for this family (for example a
     closed-form entropy where none is implemented)."""
+
+
+# Why a row of the row-wise test path (``vstest._observed_rows``,
+# ``edf._observed_rows`` and the ``_p_value_rows`` of both) has no p-value.
+# A single test is row 0 of that path: it raises the error class of its
+# row's cause, with the message given here or, where it names positions,
+# the one the data give.  OK is a row with a p-value.
+(OK, INVALID_DATA, OUTSIDE_FIT, FAILED_FIT, BAD_FIT, OUTSIDE_SUPPORT, TIES,
+ CONSTRAINT, DISCARDED, DEGENERATE_PIT) = range(10)
+CAUSES: dict[int, tuple[type, str | None]] = {
+    INVALID_DATA: (DataError, None),
+    OUTSIDE_FIT: (DataError, None),
+    FAILED_FIT: (EstimationError, None),
+    BAD_FIT: (ParameterError, None),
+    OUTSIDE_SUPPORT: (DataError, None),
+    TIES: (TiesError,
+           "too many tied values: no candidate window yields positive "
+           "spacings, so the entropy estimate does not exist; re-run with "
+           "extend=True for wider windows or de-duplicate the data"),
+    CONSTRAINT: (ConstraintError,
+                 "the spacing entropy estimate exceeds the empirical null "
+                 "bound for every candidate window; the sample may be too "
+                 "small, or is unlikely to come from the null family "
+                 "(extend=True widens the window range, relax=True drops "
+                 "the constraint)"),
+    DISCARDED: (EstimationError,
+                "every Monte-Carlo replicate was discarded (no admissible "
+                "window, or a failed refit); the null model cannot be "
+                "simulated at this sample size"),
+    DEGENERATE_PIT: (DataError,
+                     "the probability integral transform is degenerate "
+                     "(every value maps to 0 or 1); the fixed null puts no "
+                     "mass where the data lie"),
+}
+
+
+def cause_error(cause: int) -> VsgofError:
+    """The error of a cause whose message does not depend on the data."""
+    cls, message = CAUSES[cause]
+    return cls(message)

@@ -53,7 +53,7 @@ import numpy as np
 
 from . import distributions as dist
 from . import edf, vstest
-from ._mc import CELL_CHUNK, check_count, check_seed, seeded_map
+from ._mc import check_count, check_seed, seeded_map
 from .errors import DataError, ParameterError
 from .vstest import _SIMULATE_FLAGS, TestOptions, _check_delta
 
@@ -298,14 +298,14 @@ def _cell_chunk(scn: PowerScenario, n: int, test: str, count: int,
         seeds[i] = gen.integers(2 ** 63)
     fam = dist.resolve_family(scn.null_family)
     if test == "vs":
-        p = vstest._p_value_rows(fam, X, seeds, TestOptions(
+        p, cause = vstest._p_value_rows(fam, X, seeds, TestOptions(
             delta=scn.delta, extend=scn.extend, relax=scn.relax,
             simulate_p_value=_SIMULATE_FLAGS[scn.simulate], B=scn.B,
             fixed_params=scn.null_params))
     else:
-        p = edf._p_value_rows(fam, fam.validate_params(scn.null_params), test,
-                              X, seeds, scn.B)
-    return int((p <= scn.alpha).sum()), int(np.isnan(p).sum())
+        p, cause = edf._p_value_rows(fam, fam.validate_params(scn.null_params),
+                                     test, X, seeds, scn.B)
+    return int((p <= scn.alpha).sum()), int(np.count_nonzero(cause))
 
 
 def run_power_study(scenario: PowerScenario, *, threads: int = 1) -> PowerTable:
@@ -318,8 +318,7 @@ def run_power_study(scenario: PowerScenario, *, threads: int = 1) -> PowerTable:
     cell_seqs = np.random.SeedSequence(scenario.seed).spawn(len(cells))
     jobs = [(seq, partial(_cell_chunk, scenario, n, t))
             for seq, (n, t) in zip(cell_seqs, cells)]
-    outcomes = seeded_map(jobs, scenario.replicates, threads=threads,
-                          chunk=CELL_CHUNK)
+    outcomes = seeded_map(jobs, scenario.replicates, threads=threads)
     rows = tuple(
         PowerRow(scenario=scenario.name, n=n, test=t,
                  rejections=sum(r for r, _ in chunks),

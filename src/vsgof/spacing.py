@@ -99,7 +99,7 @@ def batch_window_values(sorted_rows: np.ndarray, windows: np.ndarray) -> tuple[n
     P = np.empty((B, n + 2 * top))
     P[:, :top], P[:, top:top + n], P[:, top + n:] = S[:, :1], S, S[:, -1:]
     gaps = np.empty((B, n))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j, m in enumerate(ms):
             # x_(i+m) - x_(i-m), order statistics clamped at both ends
             np.subtract(P[:, top + m:top + m + n], P[:, top - m:top - m + n],

@@ -20,10 +20,16 @@ or fixed null, the whole pipeline re-run per replicate).  Replicates for
 which no window satisfies the constraint, or whose refit fails, are
 dropped from the reference set and counted.
 
-Monte-Carlo runs follow the seeded chunk contract of ``vsgof._mc``, whose
-``null_map`` draws and evaluates every null replicate: results are bitwise
-identical for any ``threads`` value, and a test repeated with the same
-null, options, B and seed reuses its null reference, bit for bit.
+The observed statistic has one path, ``_observed_rows``: it runs the steps
+above on every row of a matrix and gives each row without a statistic a
+cause code of ``vsgof.errors.CAUSES``.  A single test is row 0 of it and
+raises the error of its row's cause; a power cell runs its replicates as
+the rows.  The Monte-Carlo reference has two paths on purpose, both on
+the seeded chunks of ``vsgof._mc.null_map`` (bitwise identical for any
+``threads``): a single test's goes through :func:`monte_carlo_p_value`,
+which reuses the reference of a repeated null, options, B and seed; a
+power cell, whose seeds never repeat, stacks its replicates' references
+in one ``null_map`` call.
 
 A note on the equivalence mode used by the test-suite identity check: with
 ``relax=True``, ``delta=-1/6`` and a simple normal null whose plug-in scale
@@ -41,8 +47,9 @@ from scipy.special import ndtr, psi
 
 from . import distributions as dist
 from ._mc import check_count, check_seed, null_map, null_reference
-from .errors import (ConstraintError, DataError, EstimationError,
-                     ParameterError, TiesError)
+from .errors import (BAD_FIT, CONSTRAINT, DISCARDED, FAILED_FIT,
+                     INVALID_DATA, OK, OUTSIDE_FIT, OUTSIDE_SUPPORT, TIES,
+                     DataError, ParameterError, cause_error)
 from .sample import Sample, as_sample, valid_rows
 from .spacing import (WindowScan, _best_columns, _largest_window,
                       batch_window_values, vasicek_estimate)
@@ -152,36 +159,25 @@ def empirical_null_loglik(x: "Sample | np.ndarray", family: str, params) -> floa
     """Mean log-density of the sample under fixed null parameters.
 
     Raises DataError (with offending positions) if any observation falls
-    outside the null support.
+    outside the null support, or if the log-densities sum below the float
+    range.
     """
     s = as_sample(x)
     fam = dist.resolve_family(family)
-    return _support_loglik(fam, fam.validate_params(params), s)
-
-
-def _support_loglik(fam, params: np.ndarray, s: Sample) -> float:
-    """:func:`empirical_null_loglik` for a resolved family and validated
-    parameters."""
-    loglik, inside = _null_loglik(fam, params, s.values)
-    if not inside.all():
-        bad = np.flatnonzero(~inside).tolist()[:10]
-        if fam.support_text == "the real line":  # every finite value is in it
-            raise DataError(
-                f"the {fam.family_id} null log-density at positions {bad} "
-                f"is below the float range (too far from the null)")
-        raise DataError(
-            f"observations outside the {fam.family_id} support "
-            f"({fam.support_text}) at positions {bad}"
-        )
+    p = fam.validate_params(params)
+    loglik = _null_loglik(fam, p, s.values)
+    if not np.isfinite(loglik):
+        _raise_cause(fam, s, OUTSIDE_SUPPORT, p)
     return float(loglik)
 
 
-def _null_loglik(fam, params, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean null log-density along the last axis of X, and which values lie
-    inside the support (have a finite log-density).  ``params`` broadcasts
-    against X: one parameter vector, or columns of per-row parameters."""
-    L = np.asarray(fam.log_density(params, X))
-    return L.mean(axis=-1), np.isfinite(L)
+def _null_loglik(fam, params, X: np.ndarray) -> np.ndarray:
+    """Mean null log-density along the last axis of X; ``params`` broadcasts
+    against X: one parameter vector, or columns of per-row parameters.  It
+    is finite exactly where the values lie inside the support (a finite
+    log-density each) and their sum inside the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.asarray(fam.log_density(params, X)).mean(axis=-1)
 
 
 def statistic_at(x: "Sample | np.ndarray", family: str, params, m: int) -> float:
@@ -205,34 +201,106 @@ def _select_rows(V: np.ndarray, computable: np.ndarray, loglik: np.ndarray,
     return col, found & ~np.isnan(loglik)
 
 
-def _scan_and_select(s: Sample, fam, params, delta: float, extend: bool,
-                     relax: bool) -> tuple[int, float, WindowScan, list[str]]:
-    """Window scan of one sample and the selection rule applied to it.
+def _settle(cause: np.ndarray, live: np.ndarray, bad: np.ndarray,
+            code: int) -> np.ndarray:
+    """Give the rows ``live[bad]`` the cause ``code``; the others stay live."""
+    if not bad.any():
+        return live
+    cause[live[bad]] = code
+    return live[~bad]
 
-    Returns the selected window, the statistic there, the scan and the
-    warnings; raises TiesError or ConstraintError when no window qualifies.
+
+def _observed_rows(fam, X: np.ndarray, opts: TestOptions,
+                   S: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """The observed half of :func:`vs_test` on every row of X.
+
+    Returns ``(cause, P, stat, col, ms, V, computable)``: per row the code
+    of ``errors.CAUSES`` (OK where the row has a statistic), the null
+    parameters (fitted or fixed), the statistic (NaN unless OK) and the
+    selected column of the candidate windows ``ms``, over which ``V`` and
+    ``computable`` are the spacing estimates.  The causes are checked in
+    the single test's order: invalid data, data outside the fit interval,
+    a failed fit, invalid fitted parameters, data outside the null support
+    (or log-densities summing below the float range), ties (no computable
+    window), the constraint.  ``S`` is X sorted along its rows, given when
+    X is one ``Sample``'s values: they are then not checked or sorted again.
     """
-    loglik = _support_loglik(fam, params, s)
-    ms = candidate_windows(s.n, delta, extend)
-    V, computable = batch_window_values(s.sorted_values[None, :], ms)
-    warnings = [_TIES_WARNING] if s.has_ties else []
-    if not np.any(computable):
-        raise TiesError(
-            "too many tied values: no candidate window yields positive "
-            "spacings, so the entropy estimate does not exist; re-run with "
-            "extend=True for wider windows or de-duplicate the data"
-        )
-    col, ok = _select_rows(V, computable, np.array([loglik]), relax)
-    if not ok[0]:
-        raise ConstraintError(
-            "the spacing entropy estimate exceeds the empirical null bound "
-            "for every candidate window; the sample may be too small, or is "
-            "unlikely to come from the null family (extend=True widens the "
-            "window range, relax=True drops the constraint)"
-        )
-    j = int(col[0])
-    scan = WindowScan(windows=ms, values=V[0], computable=computable[0])
-    return int(ms[j]), float(-V[0, j] - loglik), scan, warnings
+    rows, n = X.shape
+    cause, live = np.full(rows, OK), np.arange(rows)
+    if S is None:
+        live = _settle(cause, live, ~valid_rows(X), INVALID_DATA)
+        S = np.sort(X, axis=1)
+    P = np.full((rows, len(fam.param_names)), np.nan)
+    if opts.fixed_params is None:
+        live = _settle(cause, live,
+                       fam.outside_fit_interval(X[live]).any(axis=1),
+                       OUTSIDE_FIT)
+        P[live], fitted = fam.fit_rows(X[live])
+        live = _settle(cause, live, ~fitted, FAILED_FIT)
+        live = _settle(cause, live, ~fam.param_rows_ok(P[live]), BAD_FIT)
+        params = fam._cols(P[live])
+    else:
+        P[:] = params = fam.validate_params(opts.fixed_params)
+    loglik = np.full(rows, np.nan)
+    loglik[live] = _null_loglik(fam, params, X[live])
+    live = _settle(cause, live, ~np.isfinite(loglik[live]), OUTSIDE_SUPPORT)
+    # every row's windows: those of the rows settled above go unused
+    ms = candidate_windows(n, _delta(fam, opts), opts.extend)
+    V, computable = batch_window_values(S, ms)
+    live = _settle(cause, live, ~computable[live].any(axis=1), TIES)
+    col, found = _select_rows(V, computable, loglik, opts.relax)
+    live = _settle(cause, live, ~found[live], CONSTRAINT)
+    stat = np.full(rows, np.nan)
+    stat[live] = -V[live, col[live]] - loglik[live]
+    return cause, P, stat, col, ms, V, computable
+
+
+def _delta(fam, opts: TestOptions) -> float:
+    return fam.default_delta if opts.delta is None else float(opts.delta)
+
+
+def _raise_cause(fam, s: Sample, cause: int, params: np.ndarray) -> None:
+    """Raise the error of a single test whose row has a cause; ``params``
+    are the row's null parameters.  Messages that name positions come from
+    the data.  Outside the support, they are the values whose log-density
+    is not finite or, where every one is finite but their sum is below the
+    float range, the fewest (lowest) of them whose sum is."""
+    if cause == OUTSIDE_FIT:
+        fam.validate_fit_data(s.values)
+    elif cause == FAILED_FIT:
+        fam.fit(s.values)
+    elif cause == BAD_FIT:
+        fam.validate_params(params)
+    elif cause == OUTSIDE_SUPPORT:
+        L = fam.log_density(params, s.values)
+        bad = np.flatnonzero(~np.isfinite(L))
+        if bad.size and fam.support_text != "the real line":
+            raise DataError(
+                f"observations outside the {fam.family_id} support "
+                f"({fam.support_text}) at positions {bad.tolist()[:10]}")
+        if not bad.size:
+            order = np.argsort(L, kind="stable")
+            with np.errstate(over="ignore"):
+                cut = np.argmax(np.isinf(np.cumsum(L[order])))
+            bad = np.sort(order[:cut + 1])
+        raise DataError(
+            f"the {fam.family_id} null log-density at positions "
+            f"{bad.tolist()[:10]} is below the float range (too far from "
+            f"the null)")
+    raise cause_error(cause)
+
+
+def _observed_sample(fam, s: Sample, opts: TestOptions
+                     ) -> tuple[np.ndarray, float, int, WindowScan]:
+    """Row 0 of :func:`_observed_rows` for one sample: the null parameters,
+    the statistic, the selected window and the scan; raises the error of
+    the row's cause."""
+    cause, P, stat, col, ms, V, computable = _observed_rows(
+        fam, s.values[None, :], opts, s.sorted_values[None, :])
+    if cause[0]:
+        _raise_cause(fam, s, cause[0], P[0])
+    return P[0], float(stat[0]), int(ms[col[0]]), WindowScan(
+        windows=ms, values=V[0], computable=computable[0])
 
 
 def select_window(x: "Sample | np.ndarray", family: str, params, *,
@@ -244,10 +312,10 @@ def select_window(x: "Sample | np.ndarray", family: str, params, *,
     (values + computability flags), and any warnings raised along the way.
     """
     fam = dist.resolve_family(family)
-    d = fam.default_delta if delta is None else float(delta)
-    m, _, scan, warnings = _scan_and_select(
-        as_sample(x), fam, fam.validate_params(params), d, extend, relax)
-    return m, scan, tuple(warnings)
+    s = as_sample(x)
+    _, _, m, scan = _observed_sample(fam, s, TestOptions(
+        delta=delta, extend=extend, relax=relax, fixed_params=params))
+    return m, scan, (_TIES_WARNING,) if s.has_ties else ()
 
 
 def harmonic_prefix(top: int) -> list[float]:
@@ -294,8 +362,16 @@ def asymptotic_p_value(statistic: float, m: int, n: int) -> float:
     p = 1 - Phi(z) with z = sqrt(6 m n) * (I - b(m, n)), computed as Phi(-z)
     so that the far upper tail keeps its relative precision.
     """
-    z = math.sqrt(6.0 * m * n) * (statistic - bias_b(m, n))
-    return float(ndtr(-z))
+    return float(_asymptotic_rows(np.array([statistic], dtype=float),
+                                  np.array([m]), n)[0])
+
+
+def _asymptotic_rows(stat: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
+    """:func:`asymptotic_p_value` of every (statistic, window) pair, with
+    ``bias_b`` computed once per distinct window."""
+    b = {w: bias_b(w, n) for w in set(m.tolist())}
+    return ndtr(-np.sqrt(6.0 * m * n)
+                * (stat - np.array([b[w] for w in m.tolist()])))
 
 
 # ---------------------------------------------------------------------------
@@ -367,64 +443,41 @@ def monte_carlo_p_value(observed: float, family: str, params, n: int, *,
          np.asarray(ms, dtype=int).tobytes(), bool(relax)),
         B, seed, threads, build)
     if not kept:
-        raise EstimationError(
-            "every Monte-Carlo replicate was discarded (no admissible "
-            "window, or a failed refit); the null model cannot be simulated "
-            "at this sample size"
-        )
+        raise cause_error(DISCARDED)
     above = ref.size - np.searchsorted(ref, np.float64(observed), "right")
     return float(above / kept), int(B - kept)
 
 
-def _p_value_rows(fam, X: np.ndarray, seeds: np.ndarray,
-                  opts: TestOptions) -> np.ndarray:
+def _p_value_rows(fam, X: np.ndarray, seeds: np.ndarray, opts: TestOptions
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """The p-value of :func:`vs_test` on every row of X at once, row i with
-    seed ``seeds[i]``.
+    seed ``seeds[i]``, and the cause of each row.
 
     A row's p-value is NaN exactly where ``vs_test`` raises a
-    ``VsgofError``: invalid data, data outside the fit interval or the null
-    support, a failed fit, no admissible window, or every null replicate
-    discarded.  The null replicates of all rows run through one
+    ``VsgofError``: a cause of :func:`_observed_rows`, or every null
+    replicate discarded.  The null replicates of all rows run through one
     ``vsgof._mc.null_map``, each row's drawn as ``vs_test`` draws them.
     """
-    p_values = np.full(X.shape[0], np.nan)
+    cause, P, stat, col, ms, _, _ = _observed_rows(fam, X, opts)
     n = X.shape[1]
-    rows = np.flatnonzero(valid_rows(X))
-    refit = opts.fixed_params is None
-    if refit:
-        rows = rows[~fam.outside_fit_interval(X[rows]).any(axis=1)]
-        P, fitted = fam.fit_rows(X[rows])
-        fitted[fitted] = fam.param_rows_ok(P[fitted])
-        rows, P = rows[fitted], P[fitted]
-        params = fam._cols(P)
-    else:
-        params = fam.validate_params(opts.fixed_params)
-        P = np.broadcast_to(params, (rows.size, params.size))
-    loglik, inside = _null_loglik(fam, params, X[rows])
-    inside = inside.all(axis=1)
-    rows, P, loglik = rows[inside], P[inside], loglik[inside]
-
-    delta = fam.default_delta if opts.delta is None else float(opts.delta)
-    ms = candidate_windows(n, delta, opts.extend)
-    V, computable = batch_window_values(np.sort(X[rows], axis=1), ms)
-    col, ok = _select_rows(V, computable, loglik, opts.relax)
-    stat = -V[np.arange(rows.size), col] - loglik
-    rows, P, stat, m_hat = rows[ok], P[ok], stat[ok], ms[col[ok]]
-
+    rows = np.flatnonzero(cause == OK)
+    p_values, stat = np.full(X.shape[0], np.nan), stat[rows]
     if _resolve_p_method(opts, n) == "asymptotic":
-        p_values[rows] = [asymptotic_p_value(t, m, n)
-                          for t, m in zip(stat, m_hat)]
-        return p_values
+        p_values[rows] = _asymptotic_rows(stat, ms[col[rows]], n)
+        return p_values, cause
+    refit = opts.fixed_params is None
+    params = None if refit else P[0]
     stats, _, ok = null_map(
-        fam, P, n, opts.B, seeds[rows],
+        fam, P[rows], n, opts.B, seeds[rows],
         lambda X: _null_rows(fam, params, X, refit, ms, opts.relax))
     # the share of each row's kept null statistics strictly above its
     # observed one; NaN (0 / 0) where every null replicate was discarded
     stats, ok = stats.reshape(-1, opts.B), ok.reshape(-1, opts.B)
+    kept = ok.sum(1)
     with np.errstate(invalid="ignore"):
-        p_values[rows] = ((ok & (stats > stat[:, None])).sum(1)
-                          / ok.sum(1))
-    return p_values
+        p_values[rows] = (ok & (stats > stat[:, None])).sum(1) / kept
+    cause[rows[kept == 0]] = DISCARDED
+    return p_values, cause
 
 
 def _resolve_p_method(opts: TestOptions, n: int) -> str:
@@ -467,27 +520,16 @@ def vs_test(x: "Sample | np.ndarray", family: str,
         check_seed(opts.seed)
     _check_delta(opts.delta)
 
-    # null parameters: user-fixed (simple) or fitted (composite)
-    if opts.fixed_params is not None:
-        params = fam.validate_params(opts.fixed_params)
-        estimate = None
-        refit = False
-    else:
-        estimate = dist.fit_mle(fam.family_id, s)
-        params = fam.validate_params(estimate.params)
-        refit = True
-
-    delta = fam.default_delta if opts.delta is None else float(opts.delta)
-    m_hat, statistic, scan, warnings = _scan_and_select(
-        s, fam, params, delta, opts.extend, opts.relax)
+    params, statistic, m_hat, scan = _observed_sample(fam, s, opts)
+    warnings = [_TIES_WARNING] if s.has_ties else []
 
     method = _resolve_p_method(opts, s.n)
     ignored = 0
     if method == "monte_carlo":
         p, ignored = monte_carlo_p_value(
             statistic, fam.family_id, params, s.n, B=int(opts.B),
-            refit=refit, ms=scan.windows, relax=opts.relax, seed=opts.seed,
-            threads=threads)
+            refit=opts.fixed_params is None, ms=scan.windows, relax=opts.relax,
+            seed=opts.seed, threads=threads)
         if ignored:
             warnings.append(
                 f"{ignored} of {int(opts.B)} null replicates had no "
@@ -504,9 +546,10 @@ def vs_test(x: "Sample | np.ndarray", family: str,
         optimal_window=m_hat,
         p_value=p,
         p_value_method=method,
-        estimate=estimate,
+        estimate=(None if opts.fixed_params is not None else
+                  dist.FitResult(fam.family_id, params, "mle")),
         window_scan=scan,
-        delta=delta,
+        delta=_delta(fam, opts),
         extend=bool(opts.extend),
         relax=bool(opts.relax),
         B=B_used,

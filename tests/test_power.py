@@ -459,7 +459,6 @@ PINNED_PATHS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("path", sorted(PINNED_PATHS))
 def test_power_table_pinned(path, threads):
@@ -519,7 +518,6 @@ def _one_call_per_replicate(scn, n, test, cell_seed):
     return rejections, errors
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("test", sorted(ORACLE_SCENARIOS))
 def test_power_cells_match_one_call_per_replicate(test):
     scn = PowerScenario(**{**dict(name=f"oracle-{test}", tests=(test,),

@@ -12,6 +12,7 @@ from conftest import select_window_oracle, spacing_oracle, window_bound_oracle
 
 from vsgof import distributions as dist
 from vsgof.errors import (
+    OUTSIDE_SUPPORT,
     ConstraintError,
     DataError,
     EstimationError,
@@ -20,6 +21,7 @@ from vsgof.errors import (
 )
 from vsgof.vstest import (
     TestOptions,
+    _asymptotic_rows,
     _p_value_rows,
     asymptotic_p_value,
     bias_b,
@@ -121,6 +123,9 @@ def test_empirical_null_loglik_support_violation():
 @pytest.mark.parametrize("family, params, x", [
     ("dnorm", (0.0, 1.0), [1e155, -1e155, 0.0, 1.0, 2.0, 3.0]),
     ("dlaplace", (-1e308, 1.0), [1e308, 0.0, 1.0, 2.0, 3.0, 4.0]),
+    # every log-density is finite, but their sum is below the float range;
+    # the two lowest already take it there
+    ("dlaplace", (-1e308, 1.0), [0.0, -1e307, -2e307, -3e307, -4e307, -5e307]),
 ])
 def test_log_density_below_float_range_is_not_outside_the_real_line(
         family, params, x):
@@ -132,9 +137,10 @@ def test_log_density_below_float_range_is_not_outside_the_real_line(
     with pytest.raises(DataError, match=match):
         empirical_null_loglik(np.array(x), family, params)
     opts = TestOptions(fixed_params=params, B=10, simulate_p_value=True)
-    p = _p_value_rows(dist.resolve_family(family), np.array([x]),
-                      np.array([1]), opts)
+    p, cause = _p_value_rows(dist.resolve_family(family), np.array([x]),
+                             np.array([1]), opts)
     assert np.isnan(p[0])  # a power replicate counts it as an error
+    assert cause[0] == OUTSIDE_SUPPORT
 
 
 def test_statistic_at_four_point_uniform():
@@ -325,6 +331,19 @@ def test_bias_domain():
         bias_b(0, 10)
     with pytest.raises(ParameterError):
         bias_b(5, 10)
+
+
+def test_asymptotic_rows_equal_the_scalar_formula():
+    # the array expression of the row path against the scalar loop it
+    # replaced, bit for bit
+    g = np.random.default_rng(5)
+    for n in (80, 200, 5003):
+        m = g.integers(1, 5, 500)
+        stat = g.normal(0.05, 0.05, 500)
+        want = [float(sps.ndtr(-math.sqrt(6.0 * int(k) * n)
+                               * (float(t) - bias_b(int(k), n))))
+                for t, k in zip(stat, m)]
+        assert _asymptotic_rows(stat, m, n).tolist() == want
 
 
 def test_asymptotic_p_value_reference_points():
