@@ -6,12 +6,16 @@ maximum-likelihood fitting.  Each family has one MLE, ``fit_rows``: it
 fits every row of a (B, n) Monte-Carlo matrix and flags, not raises, a row
 that fails or is degenerate.  Every single-sample fit is row 0 of
 ``fit_rows``, so a sample and its null replicates share one estimator.
-Six families have textbook closed forms; gamma, weibull and beta run a
-Newton iteration as array code over the rows not yet converged (profile
-Newton in the shape, damped Newton for beta).  Fisher's ``fit_rows`` loops
-its scalar damped Newton over the rows.  The standard normal CDF and its
-inverse (``ndtr``, ``ndtri``), digamma, trigamma and log-gamma come from
-``scipy.special``.
+Six families have textbook closed forms; a row whose mean (or spread) is
+beyond the float range fails.  Gamma, weibull, beta and fisher run a Newton
+iteration as array code over the rows not yet converged (profile Newton in
+the shape, damped Newton for beta, and for fisher Newton ascent on the log
+degrees of freedom that halves a step until the likelihood does not fall).
+A fisher row fails once its ascent takes df1 or df2 above 1e5: its
+likelihood still rises towards the scaled chi-square limit of F, and the
+computed log-density, accurate to ~1e-11 at 1e5, drifts beyond it.  The
+standard normal CDF and its inverse (``ndtr``, ``ndtri``), digamma,
+trigamma and log-gamma come from ``scipy.special``.
 
 Families are addressed either by id ("normal") or by the d-prefixed call
 name ("dnorm").  Parameter conventions:
@@ -133,7 +137,7 @@ def _profile_newton(a: np.ndarray, rows: np.ndarray, tol: np.ndarray,
     return done
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FitResult:
     """Parameters attached to a test: fitted or user-fixed."""
 
@@ -240,19 +244,21 @@ class _Family:
         return self.log_density(self._cols(P), X).mean(axis=1)
 
     def fit(self, x: np.ndarray) -> np.ndarray:
-        """MLE of one sample: row 0 of :meth:`fit_rows` on ``x[None, :]``.
-
-        Raises EstimationError when the row fails: "degenerate" if the
-        data have no spread, "did not converge" otherwise.
-        """
+        """MLE of one sample: row 0 of :meth:`fit_rows` on ``x[None, :]``;
+        raises :meth:`fit_error` when the row fails."""
         x = np.asarray(x, dtype=float)
         P, ok = self.fit_rows(x[None, :])
         if not ok[0]:
-            if not _spread(x[None, :])[0]:
-                raise EstimationError(
-                    f"{self.family_id} MLE degenerate: data have no spread")
-            raise EstimationError(f"{self.family_id} MLE did not converge")
+            raise self.fit_error(x)
         return P[0]
+
+    def fit_error(self, x: np.ndarray) -> EstimationError:
+        """The error of a failed fit of one sample, from its data alone:
+        "degenerate" if they have no spread, "did not converge" otherwise."""
+        if not _spread(x[None, :])[0]:
+            return EstimationError(
+                f"{self.family_id} MLE degenerate: data have no spread")
+        return EstimationError(f"{self.family_id} MLE did not converge")
 
 
 class _Uniform(_Family):
@@ -324,9 +330,11 @@ class _Normal(_Family):
         return mu + sd * rng.standard_normal(size)
 
     def fit_rows(self, X):
-        mu = X.mean(axis=1)
-        sd = np.sqrt(((X - mu[:, None]) ** 2).mean(axis=1))
-        return np.column_stack([mu, sd]), sd > 0
+        # a mean or spread beyond the float range is not a fit
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu = X.mean(axis=1)
+            sd = np.sqrt(((X - mu[:, None]) ** 2).mean(axis=1))
+        return np.column_stack([mu, sd]), (sd > 0) & (sd < np.inf)
 
     def closed_form_entropy(self, params) -> float:
         # log(sigma * sqrt(2 pi e))
@@ -398,8 +406,9 @@ class _Exponential(_Family):
             return -np.log1p(-q) / lam
 
     def fit_rows(self, X):
-        mean = X.mean(axis=1)
-        ok = mean > 0
+        with np.errstate(over="ignore"):  # inf: a sum beyond the float range
+            mean = X.mean(axis=1)
+        ok = (mean > 0) & (mean < np.inf)
         with np.errstate(divide="ignore"):
             lam = np.where(ok, 1.0 / mean, np.nan)
         return lam[:, None], ok
@@ -438,8 +447,8 @@ class _Gamma(_Family):
     def fit_rows(self, X):
         # Profile likelihood: rate = shape / mean(x); Newton in the shape on
         #   log(shape) - psi(shape) = log(mean x) - mean(log x)
-        mean = X.mean(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            mean = X.mean(axis=1)  # inf: s is inf and the row fails
             s = np.log(mean) - np.log(X).mean(axis=1)
             a = (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
         rows = np.flatnonzero(_spread(X) & (s > 0.0) & np.isfinite(s))
@@ -557,6 +566,12 @@ class _Pareto(_Family):
         return -math.log(mu) + math.log(c) + 1.0 / mu + 1.0
 
 
+# log of the largest df a fisher fit returns: beyond it the computed mean
+# log-density drifts from its exact value by more than 1e-10
+_FISHER_TOP = math.log(1e5)
+_FISHER_GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)  # df1 starts
+
+
 class _Fisher(_Family):
     family_id = "fisher"
     call = "df"
@@ -600,84 +615,78 @@ class _Fisher(_Family):
         d1, d2 = float(params[0]), float(params[1])
         return rng.f(d1, d2, size)
 
-    def _mean_score(self, d1: float, d2: float, x: np.ndarray,
-                    mlx: float) -> np.ndarray:
-        denom = d1 * x + d2
-        mld = float(np.mean(np.log(denom)))
-        mxd = float(np.mean(x / denom))
-        mid = float(np.mean(1.0 / denom))
-        half_sum = 0.5 * (d1 + d2)
-        psi_sum = psi(half_sum)
-        s1 = 0.5 * (math.log(d1) + 1.0 + mlx) - 0.5 * mld - half_sum * mxd \
-            - 0.5 * (psi(0.5 * d1) - psi_sum)
-        s2 = 0.5 * (math.log(d2) + 1.0) - 0.5 * mld - half_sum * mid \
-            - 0.5 * (psi(0.5 * d2) - psi_sum)
-        return np.array([s1, s2])
+    def _ascent_step(self, X, mlx, eta):
+        """Newton step and decrement of the mean log-likelihood in eta =
+        (log df1, log df2) for each row of X (``mlx``: its mean log x); where
+        the Hessian is not negative definite, the unit gradient and NaN."""
+        d1, d2 = np.exp(eta.T)
+        D = d1[:, None] * X + d2[:, None]
+        U = 1.0 / D
+        R = X * U
+        mld, mR, mU = (np.log(D).mean(axis=1), R.mean(axis=1), U.mean(axis=1))
+        hs = 0.5 * (d1 + d2)
+        psi_s, tri_s = psi(hs), polygamma(1, hs)
+        # score and Hessian in (df1, df2), then in eta by the chain rule
+        g1 = d1 * (0.5 * (np.log(d1) + 1.0 + mlx - mld) - hs * mR
+                   - 0.5 * (psi(0.5 * d1) - psi_s))
+        g2 = d2 * (0.5 * (np.log(d2) + 1.0 - mld) - hs * mU
+                   - 0.5 * (psi(0.5 * d2) - psi_s))
+        a = g1 + d1 * d1 * (0.5 / d1 - mR + hs * (R * R).mean(axis=1)
+                            - 0.25 * (polygamma(1, 0.5 * d1) - tri_s))
+        c = g2 + d2 * d2 * (0.5 / d2 - mU + hs * (U * U).mean(axis=1)
+                            - 0.25 * (polygamma(1, 0.5 * d2) - tri_s))
+        b = d1 * d2 * (hs * (R * U).mean(axis=1) - 0.5 * (mR + mU) + 0.25 * tri_s)
+        det = a * c - b * b
+        newton = (a < 0.0) & (det > 0.0)
+        step = np.where(newton, [(b * g2 - c * g1) / det, (b * g1 - a * g2) / det],
+                        [g1, g2] / np.hypot(g1, g2)).T
+        return step, np.where(newton, g1 * step[:, 0] + g2 * step[:, 1], np.nan)
 
     def fit_rows(self, X):
-        P = np.full((X.shape[0], 2), np.nan)
-        ok = np.zeros(X.shape[0], dtype=bool)
-        for i, x in enumerate(X):
-            try:
-                P[i], ok[i] = self.fit(x), True
-            except EstimationError:
-                pass
+        # Newton ascent on eta = (log df1, log df2) from the best point of an
+        # 8 x 3 grid; a step is halved until the mean log-likelihood does not
+        # fall.  A row converges, taking its last step, once its Newton
+        # decrement is at most 1e-13 max(1, |l|): a fixed gradient tolerance
+        # fails rows whose l no longer resolves the gain.  A row whose ascent
+        # takes df1 or df2 above 1e5 fails, its likelihood still rising
+        # towards the scaled chi-square limit of F; so does a row whose step
+        # stalls or that still moves after 200 steps.
+        size = X.shape[0]
+        ok, r = np.zeros(size, dtype=bool), np.arange(size)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            mlx, m = np.log(X).mean(axis=1), X.mean(axis=1)
+            d2 = np.clip(np.where(m > 1.1, 2.0 * m / (m - 1.0), 4.0), 0.5, 500.0)
+            d2 = np.column_stack([d2, 2.0 * d2, np.full(size, 4.0)])
+            # the first best grid point in (df1, df2) order; NaN is not best
+            ll = np.hstack([self.log_density((d1, d2[:, :, None]), X[:, None, :])
+                            .mean(axis=-1) for d1 in _FISHER_GRID])
+            k = np.nan_to_num(ll, nan=-np.inf).argmax(axis=1)
+            ll = ll[r, k]
+            eta = np.log(np.column_stack([np.array(_FISHER_GRID)[k // 3],
+                                          d2[r, k % 3]]))
+            rows = np.flatnonzero(_spread(X) & np.isfinite(ll))
+            for _ in range(200):
+                if rows.size == 0:
+                    break
+                step, dec = self._ascent_step(X[rows], mlx[rows], eta[rows])
+                conv = dec <= 1e-13 * np.maximum(1.0, np.abs(ll[rows]))
+                eta[rows[conv]] += step[conv]
+                ok[rows[conv]] = True
+                rows, step = rows[~conv], step[~conv]
+                pend, lam = np.arange(rows.size), 1.0
+                while pend.size and lam > 1e-18:
+                    trial = eta[rows[pend]] + lam * step[pend]
+                    t = self.mean_loglik_rows(X[rows[pend]], np.exp(trial))
+                    take = t >= ll[rows[pend]]
+                    eta[rows[pend[take]]], ll[rows[pend[take]]] = trial[take], t[take]
+                    pend, lam = pend[~take], 0.5 * lam
+                live = (eta[rows] <= _FISHER_TOP).all(axis=1)
+                live[pend] = False
+                rows = rows[live]
+        ok &= (eta <= _FISHER_TOP).all(axis=1)
+        P = np.exp(eta)
+        P[~ok] = np.nan
         return P, ok
-
-    def fit(self, x):
-        """Damped Newton on one sample; fit_rows runs it row by row."""
-        x = np.asarray(x, dtype=float)
-        mlx = float(np.mean(np.log(x)))
-        m = float(np.mean(x))
-        d2 = 2.0 * m / (m - 1.0) if m > 1.1 else 4.0
-        d2 = min(max(d2, 0.5), 500.0)
-
-        def mean_ll(d1_, d2_):
-            return float(np.mean(self.log_density(np.array([d1_, d2_]), x)))
-
-        best = None
-        for d1_try in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
-            for d2_try in (d2, 2.0 * d2, 4.0):
-                ll = mean_ll(d1_try, d2_try)
-                if best is None or ll > best[0]:
-                    best = (ll, d1_try, d2_try)
-        _, d1, d2 = best
-
-        # damped Newton on eta = (log df1, log df2); Jacobian of the mean
-        # score by central differences of the analytic score
-        eta = np.log([d1, d2])
-        s = self._mean_score(*np.exp(eta), x, mlx)
-        for _ in range(300):
-            if float(np.linalg.norm(s)) <= 1e-9:
-                break
-            J = np.empty((2, 2))
-            h = 1e-6
-            for j in range(2):
-                ep = eta.copy(); ep[j] += h
-                em = eta.copy(); em[j] -= h
-                J[:, j] = (self._mean_score(*np.exp(ep), x, mlx)
-                           - self._mean_score(*np.exp(em), x, mlx)) / (2.0 * h)
-            try:
-                step = np.linalg.solve(J, -s)
-            except np.linalg.LinAlgError:
-                step = s  # fall back to a gradient direction
-            norm0 = float(np.linalg.norm(s))
-            lam = 1.0
-            for _damp in range(40):
-                trial = eta + lam * step
-                if np.all(np.abs(trial) < 30.0):
-                    s_try = self._mean_score(*np.exp(trial), x, mlx)
-                    if float(np.linalg.norm(s_try)) < norm0:
-                        eta, s = trial, s_try
-                        break
-                lam *= 0.5
-            else:
-                raise EstimationError(
-                    f"fisher MLE stalled (gradient norm {norm0:.2e})")
-        else:
-            raise EstimationError(
-                f"fisher MLE did not converge (gradient norm {float(np.linalg.norm(s)):.2e})")
-        return np.exp(eta)
 
 
 class _Laplace(_Family):
@@ -709,8 +718,9 @@ class _Laplace(_Family):
 
     def fit_rows(self, X):
         mu = np.median(X, axis=1)
-        sc = np.abs(X - mu[:, None]).mean(axis=1)
-        return np.column_stack([mu, sc]), sc > 0
+        with np.errstate(over="ignore"):  # inf: a sum beyond the float range
+            sc = np.abs(X - mu[:, None]).mean(axis=1)
+        return np.column_stack([mu, sc]), (sc > 0) & (sc < np.inf)
 
 
 class _Beta(_Family):

@@ -133,7 +133,7 @@ def vasicek_estimate(x: "Sample | np.ndarray", m: int) -> float:
     return float(values[0, 0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WindowScan:
     """Spacing estimates over a contiguous window range ``1..m_max``.
 

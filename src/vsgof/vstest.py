@@ -111,7 +111,8 @@ class TestOptions:
     seed: int | None = None
 
 
-@dataclass(frozen=True)
+# kept small (slots, own arrays): callers may hold many reports
+@dataclass(frozen=True, slots=True)
 class VsTestReport:
     family_id: str
     n: int
@@ -268,7 +269,7 @@ def _raise_cause(fam, s: Sample, cause: int, params: np.ndarray) -> None:
     if cause == OUTSIDE_FIT:
         fam.validate_fit_data(s.values)
     elif cause == FAILED_FIT:
-        fam.fit(s.values)
+        raise fam.fit_error(s.values)
     elif cause == BAD_FIT:
         fam.validate_params(params)
     elif cause == OUTSIDE_SUPPORT:
@@ -294,13 +295,14 @@ def _observed_sample(fam, s: Sample, opts: TestOptions
                      ) -> tuple[np.ndarray, float, int, WindowScan]:
     """Row 0 of :func:`_observed_rows` for one sample: the null parameters,
     the statistic, the selected window and the scan; raises the error of
-    the row's cause."""
+    the row's cause.  The arrays returned are copies, so that a report
+    does not keep the (1, k) row matrices alive."""
     cause, P, stat, col, ms, V, computable = _observed_rows(
         fam, s.values[None, :], opts, s.sorted_values[None, :])
     if cause[0]:
         _raise_cause(fam, s, cause[0], P[0])
-    return P[0], float(stat[0]), int(ms[col[0]]), WindowScan(
-        windows=ms, values=V[0], computable=computable[0])
+    return P[0].copy(), float(stat[0]), int(ms[col[0]]), WindowScan(
+        windows=ms, values=V[0].copy(), computable=computable[0].copy())
 
 
 def select_window(x: "Sample | np.ndarray", family: str, params, *,

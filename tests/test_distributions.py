@@ -6,6 +6,7 @@ quantiles; the library itself implements every family from scratch.
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -475,6 +476,26 @@ def test_batched_fit_reaches_scipy_mle(fid, n):
     assert not ok2[17]
     assert ok2[:17].all() and ok2[18:].all()
     np.testing.assert_array_equal(np.delete(P2, 17, axis=0), P)
+
+
+@pytest.mark.parametrize("n", [20, 60, 200])
+def test_fisher_fit_reaches_scipy_mle_or_has_no_finite_maximum(n):
+    # A row that converges reaches scipy's maximum.  A row that fails has
+    # its likelihood still rising where df1 or df2 passes 1e5, and scipy's
+    # optimizer, which has no such bound, runs off beyond 1e4.
+    X = np.random.default_rng(106).f(5.0, 10.0, size=(150, n))
+    P, ok = fit_rows("fisher", X)
+    assert ok.sum() >= 100
+    for i in range(X.shape[0]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            d1, d2, _, _ = st.f.fit(X[i], floc=0, fscale=1)
+        if not ok[i]:
+            assert max(d1, d2) >= 1e4
+            continue
+        ours = float(np.mean(log_density("fisher", P[i], X[i])))
+        ref = float(np.mean(log_density("fisher", (d1, d2), X[i])))
+        assert ours >= ref - 1e-9 * abs(ref)
 
 
 def test_mean_loglik_rows_matches_log_density():

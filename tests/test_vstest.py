@@ -6,12 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.special as sps
+import scipy.stats
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import select_window_oracle, spacing_oracle, window_bound_oracle
 
 from vsgof import distributions as dist
 from vsgof.errors import (
+    FAILED_FIT,
     OUTSIDE_SUPPORT,
     ConstraintError,
     DataError,
@@ -141,6 +143,31 @@ def test_log_density_below_float_range_is_not_outside_the_real_line(
                              np.array([1]), opts)
     assert np.isnan(p[0])  # a power replicate counts it as an error
     assert cause[0] == OUTSIDE_SUPPORT
+
+
+@pytest.mark.parametrize("family", ["dnorm", "dgamma", "dexp", "dlaplace", "df"])
+def test_fit_whose_mean_leaves_the_float_range_fails(family):
+    # finite data whose sum overflows: no warning leaks (RuntimeWarning is
+    # an error in this suite) and the fit, not the parameters, is at fault
+    x = np.array([1e308, 9e307, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    with pytest.raises(EstimationError, match="MLE did not converge$"):
+        vs_test(x, family, simulate_p_value=False)
+
+
+def test_fisher_sample_without_a_finite_maximum_fails():
+    # A chi2(5)/5 sample whose F likelihood still rises at df2 = 1e5, where
+    # the fit stops: scipy's optimizer climbs on past 1e6.
+    x = np.random.default_rng(1).chisquare(5, size=60) / 5.0
+    _, df2, _, _ = scipy.stats.f.fit(x, floc=0, fscale=1)
+    assert df2 >= 1e6
+    message = "^fisher MLE did not converge$"
+    with pytest.raises(EstimationError, match=message):
+        dist.fit_mle("fisher", x)
+    with pytest.raises(EstimationError, match=message):
+        vs_test(x, "df", seed=1, B=10)
+    p, cause = _p_value_rows(dist.resolve_family("fisher"), x[None, :],
+                             np.array([1]), TestOptions(B=10))
+    assert np.isnan(p[0]) and cause[0] == FAILED_FIT
 
 
 def test_statistic_at_four_point_uniform():
