@@ -7,15 +7,21 @@ fits every row of a (B, n) Monte-Carlo matrix and flags, not raises, a row
 that fails or is degenerate.  Every single-sample fit is row 0 of
 ``fit_rows``, so a sample and its null replicates share one estimator.
 Six families have textbook closed forms; a row whose mean (or spread) is
-beyond the float range fails.  Gamma, weibull, beta and fisher run a Newton
-iteration as array code over the rows not yet converged (profile Newton in
-the shape, damped Newton for beta, and for fisher Newton ascent on the log
-degrees of freedom that halves a step until the likelihood does not fall).
-A fisher row fails once its ascent takes df1 or df2 above 1e5: its
-likelihood still rises towards the scaled chi-square limit of F, and the
-computed log-density, accurate to ~1e-11 at 1e5, drifts beyond it.  The
-standard normal CDF and its inverse (``ndtr``, ``ndtri``), digamma,
-trigamma and log-gamma come from ``scipy.special``.
+beyond the float range fails.  Gamma, weibull, beta and fisher share one
+Newton ascent of the mean log-likelihood l, run as array code over the
+rows not yet converged (``_newton_ascent``): a closed-form Newton step, a
+unit gradient step where the Hessian is not negative definite, a step
+halved until l does not fall, and convergence once the Newton decrement is
+at most 1e-13 max(1, |l|).  Each family supplies its start, l at a point,
+and the gradient and Hessian at a point: gamma and weibull in the shape of
+the profile likelihood (from the row's mean and mean log x, and from the
+weights x^shape), beta in (a, b) from the mean logs of x and 1 - x, fisher
+in the log degrees of freedom.  A fisher row fails once its ascent takes
+df1 or df2 above 1e5: its likelihood still rises towards the scaled
+chi-square limit of F, and the computed log-density, accurate to ~1e-11 at
+1e5, drifts beyond it.  The standard normal CDF and its inverse (``ndtr``,
+``ndtri``), digamma, trigamma (as ``zeta(2, x)``) and log-gamma come from
+``scipy.special``.
 
 Families are addressed either by id ("normal") or by the d-prefixed call
 name ("dnorm").  Parameter conventions:
@@ -53,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import (betainc, betaincinv, gammainc, gammaincinv, gammaln,
-                           ndtr, ndtri, polygamma, psi)
+                           ndtr, ndtri, psi, zeta)
 
 from .errors import CapabilityError, DataError, EstimationError, ParameterError
 from .sample import Sample, as_sample
@@ -85,14 +91,16 @@ def _lbeta(a, b):
 
 
 def _betaincinv(a, b, q):
-    """``betaincinv``, or where it fails for q > 0 (NaN, or the smallest
-    normal float, at q below ~1e-200) the series y = (a B(a, b) q)^(1/a)."""
+    """``betaincinv``, or the small-q series y0 (1 + (b - 1) y0 / (a + 1)),
+    y0 = (a B(a, b) q)^(1/a) from its log, for q > 0 below the smallest
+    normal float (where ``betaincinv`` can be 20 % off) or where it fails
+    (NaN, or the smallest normal float, at q below ~1e-200)."""
     q = np.asarray(q, dtype=float)
     y = betaincinv(a, b, q)
     with np.errstate(divide="ignore"):
-        return np.where((q > 0) & ~(y > _TINY),
-                        np.exp((np.log(a) + _lbeta(a, b) + np.log(q)) / a),
-                        y)[()]
+        y0 = np.exp((np.log(a) + _lbeta(a, b) + np.log(q)) / a)
+    series = y0 * (1.0 + (b - 1.0) * y0 / (a + 1.0))
+    return np.where((q > 0) & ((q < _TINY) | ~(y > _TINY)), series, y)[()]
 
 
 def _spread(X: np.ndarray) -> np.ndarray:
@@ -106,35 +114,73 @@ def _positive(u: np.ndarray) -> np.ndarray:
     return np.maximum(u, _TINY)
 
 
-def _profile_newton(a: np.ndarray, rows: np.ndarray, tol: np.ndarray,
-                    score) -> np.ndarray:
-    """Row-wise Newton on a positive 1-D parameter; updates ``a`` in place.
+def _newton_step(g, H):
+    """Newton step -H⁻¹g of each row and its decrement g·step, solved in
+    closed form for one parameter (``H = (h,)``) or two (``H = (h11, h12,
+    h22)``); where H is not negative definite, the unit gradient and NaN."""
+    if len(g) == 1:
+        (g1,), (a,) = g, H
+        newton, step = a < 0.0, [-g1 / a]
+    else:
+        (g1, g2), (a, b, c) = g, H
+        det = a * c - b * b
+        newton = (a < 0.0) & (det > 0.0)
+        step = [(b * g2 - c * g1) / det, (b * g1 - a * g2) / det]
+    dec, step = sum(gi * si for gi, si in zip(g, step)), np.array(step).T
+    if newton.all():
+        return step, dec
+    G = np.column_stack(g)
+    unit = G / np.hypot.reduce(np.abs(G), axis=1, keepdims=True)
+    return np.where(newton[:, None], step, unit), np.where(newton, dec, np.nan)
 
-    ``score(rows, a_rows)`` returns the score and its slope at ``a_rows``
-    for those rows.  Each row stops once |score| < tol; a step that would
-    make the parameter non-positive is halved until it does not.  Returns
-    the converged mask: rows still moving after 100 evaluations, or whose
-    step is not finite, did not converge.
+
+def _newton_ascent(theta, rows, loglik, grad_hess, ll=None, top=math.inf,
+                   terms=None):
+    """Newton ascent of the mean log-likelihood l on the ``rows`` of
+    ``theta`` (rows x k, k = 1 or 2), in place; returns the converged mask,
+    and failed rows become NaN.  ``loglik(r, *t)`` is l of rows ``r`` at
+    coordinates ``t`` (``ll``: l at the start, by default from ``loglik``);
+    ``grad_hess(r, *t)`` gives the gradient and Hessian as
+    :func:`_newton_step` takes them, only at a row's start or at the last
+    point ``loglik`` saw for it.
+
+    A step is halved until l does not fall.  A row converges, taking its
+    last step, once its Newton decrement is at most 1e-13 max(1, |l|) (a
+    gradient tolerance fails rows whose l no longer resolves the gain), or
+    once its step halves to no move, or below 1e-18, with a decrement at
+    most 1e-13 ``terms``: l is summed from terms of that size, whose
+    rounding can hide the gain.  Any other such stall, 200 steps, or a
+    parameter above ``top`` fails the row.
     """
-    done = np.zeros(a.shape[0], dtype=bool)
-    for _ in range(100):
-        cur = a[rows]
-        f, fp = score(rows, cur)
-        conv = np.abs(f) < tol[rows]
-        done[rows[conv]] = True
-        step = f / fp
-        live = ~conv & np.isfinite(step)
-        rows, cur, step = rows[live], cur[live], step[live]
-        if rows.size == 0:
-            break
-        new = cur - step
-        bad = new <= 0.0
-        while np.any(bad):
-            step[bad] *= 0.5
-            new[bad] = cur[bad] - step[bad]
-            bad = new <= 0.0
-        a[rows] = new
-    return done
+    ok = np.zeros(theta.shape[0], dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        th = theta[rows]  # the rows still climbing, their points and their l
+        l = loglik(rows, *th.T) if ll is None else ll[rows]
+        for _ in range(200):
+            if rows.size == 0:
+                break
+            step, dec = _newton_step(*grad_hess(rows, *th.T))
+            done = dec <= 1e-13 * np.maximum(1.0, np.abs(l))
+            pend, lam = np.flatnonzero(~done), 1.0
+            while pend.size and lam > 1e-18:
+                now = th[pend]
+                trial = now + lam * step[pend]
+                t = loglik(rows[pend], *trial.T)
+                take = (t >= l[pend]) & (trial != now).any(axis=1)
+                th[pend[take]], l[pend[take]] = trial[take], t[take]
+                pend, lam = pend[~take], 0.5 * lam
+            if terms is not None:
+                done[pend] = dec[pend] <= 1e-13 * terms[rows[pend]]
+            if done.any():
+                theta[rows[done]] = th[done] + step[done]
+                ok[rows[done]] = True
+            live = ~done & (th <= top).all(axis=1)
+            live[pend] = False
+            if not live.all():
+                rows, th, l = rows[live], th[live], l[live]
+    ok &= (theta <= top).all(axis=1)
+    theta[~ok] = np.nan
+    return ok
 
 
 @dataclass(frozen=True, slots=True)
@@ -445,21 +491,23 @@ class _Gamma(_Family):
         return rng.standard_gamma(a, size) / rate
 
     def fit_rows(self, X):
-        # Profile likelihood: rate = shape / mean(x); Newton in the shape on
-        #   log(shape) - psi(shape) = log(mean x) - mean(log x)
+        # Newton ascent in the shape a of the profile likelihood (rate =
+        # a / mean x), with s = log(mean x) - mean(log x):
+        #   l(a) = a (log a - s - 1) - log Gamma(a) - mean(log x)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             mean = X.mean(axis=1)  # inf: s is inf and the row fails
-            s = np.log(mean) - np.log(X).mean(axis=1)
+            mlx = np.log(X).mean(axis=1)
+            s = np.log(mean) - mlx
             a = (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
+
+        def loglik(r, a):
+            return a * (np.log(a) - s[r] - 1.0) - gammaln(a) - mlx[r]
+
+        def grad_hess(r, a):
+            return (np.log(a) - psi(a) - s[r],), (1.0 / a - zeta(2, a),)
+
         rows = np.flatnonzero(_spread(X) & (s > 0.0) & np.isfinite(s))
-
-        def score(rows, a_):
-            # the slope 1/a - psi'(a) is negative: the residual decreases
-            return (np.log(a_) - psi(a_) - s[rows],
-                    1.0 / a_ - polygamma(1, a_))
-
-        ok = _profile_newton(a, rows, np.full(a.shape, 1e-13), score)
-        a[~ok] = np.nan
+        ok = _newton_ascent(a[:, None], rows, loglik, grad_hess)  # moves a
         return np.column_stack([a, a / mean]), ok
 
 
@@ -495,32 +543,38 @@ class _Weibull(_Family):
             return b * (-np.log1p(-q)) ** (1.0 / a)
 
     def fit_rows(self, X):
-        # Profile on the shape: scale(a) = (mean x^a)^(1/a); the profile score
-        #   g(a) = sum(x^a log x)/sum(x^a) - 1/a - mean(log x)
-        # is increasing in a. Weights are normalized by max(log x) to avoid
-        # overflow for large trial shapes.
+        # Newton ascent in the shape a of the profile likelihood (scale^a =
+        # mean x^a).  With u = log x and v = u - max u, which keeps exp(a v)
+        # in range for large trial shapes:
+        #   l(a) = log a + a mean(v) - log mean(exp(a v)) - mean(u) - 1
         with np.errstate(divide="ignore", invalid="ignore"):
             U = np.log(X)
             ubar = U.mean(axis=1)
             spread = U.std(axis=1)
             a = math.pi / math.sqrt(6.0) / spread  # Gumbel moment initializer
-        umax = U.max(axis=1)
+            umax = U.max(axis=1)
+            V = U - umax[:, None]
+            vbar = ubar - umax
+
+        # l, l' = 1/a + mean(v) - E_w v and l'' = -1/a^2 - Var_w v come from
+        # sums over w = exp(a v), which loglik keeps for grad_hess
+        s0, s1, s2 = np.empty((3, X.shape[0]))  # sum w, sum w v, sum w v^2
+
+        def loglik(r, a):
+            Vr = V[r]
+            W = np.exp(a[:, None] * Vr)
+            WV = W * Vr
+            s0[r], s1[r], s2[r] = W.sum(axis=1), WV.sum(axis=1), (WV * Vr).sum(axis=1)
+            return np.log(a) + a * vbar[r] - np.log(s0[r] / X.shape[1]) - ubar[r] - 1.0
+
+        def grad_hess(r, a):
+            w, ev = s0[r], s1[r] / s0[r]
+            return (1.0 / a + vbar[r] - ev,), (-1.0 / (a * a) - (s2[r] / w - ev * ev),)
+
         rows = np.flatnonzero(_spread(X) & (spread > 0.0) & np.isfinite(spread))
-
-        def score(rows, a_):
-            Ur = U[rows]
-            W = np.exp(a_[:, None] * (Ur - umax[rows, None]))
-            sw = W.sum(axis=1)
-            r = (W * Ur).sum(axis=1) / sw
-            var_w = (W * (Ur - r[:, None]) ** 2).sum(axis=1) / sw
-            return r - 1.0 / a_ - ubar[rows], var_w + 1.0 / (a_ * a_)
-
-        tol = 1e-13 * np.maximum(1.0, np.abs(ubar))
-        ok = _profile_newton(a, rows, tol, score)
-        a[~ok] = np.nan
+        ok = _newton_ascent(a[:, None], rows, loglik, grad_hess)  # moves a
         with np.errstate(invalid="ignore"):
-            b = np.exp(umax + np.log(np.mean(np.exp(a[:, None] * (U - umax[:, None])),
-                                              axis=1)) / a)
+            b = np.exp(umax + np.log(np.mean(np.exp(a[:, None] * V), axis=1)) / a)
         return np.column_stack([a, b]), ok
 
 
@@ -615,44 +669,34 @@ class _Fisher(_Family):
         d1, d2 = float(params[0]), float(params[1])
         return rng.f(d1, d2, size)
 
-    def _ascent_step(self, X, mlx, eta):
-        """Newton step and decrement of the mean log-likelihood in eta =
-        (log df1, log df2) for each row of X (``mlx``: its mean log x); where
-        the Hessian is not negative definite, the unit gradient and NaN."""
-        d1, d2 = np.exp(eta.T)
+    def _grad_hess(self, X, mlx, *eta):
+        """Gradient and Hessian of the mean log-likelihood in eta = (log df1,
+        log df2) for each row of X (``mlx``: its mean log x)."""
+        d1, d2 = np.exp(eta)
         D = d1[:, None] * X + d2[:, None]
         U = 1.0 / D
         R = X * U
         mld, mR, mU = (np.log(D).mean(axis=1), R.mean(axis=1), U.mean(axis=1))
         hs = 0.5 * (d1 + d2)
-        psi_s, tri_s = psi(hs), polygamma(1, hs)
+        psi_s, tri_s = psi(hs), zeta(2, hs)
         # score and Hessian in (df1, df2), then in eta by the chain rule
         g1 = d1 * (0.5 * (np.log(d1) + 1.0 + mlx - mld) - hs * mR
                    - 0.5 * (psi(0.5 * d1) - psi_s))
         g2 = d2 * (0.5 * (np.log(d2) + 1.0 - mld) - hs * mU
                    - 0.5 * (psi(0.5 * d2) - psi_s))
         a = g1 + d1 * d1 * (0.5 / d1 - mR + hs * (R * R).mean(axis=1)
-                            - 0.25 * (polygamma(1, 0.5 * d1) - tri_s))
+                            - 0.25 * (zeta(2, 0.5 * d1) - tri_s))
         c = g2 + d2 * d2 * (0.5 / d2 - mU + hs * (U * U).mean(axis=1)
-                            - 0.25 * (polygamma(1, 0.5 * d2) - tri_s))
+                            - 0.25 * (zeta(2, 0.5 * d2) - tri_s))
         b = d1 * d2 * (hs * (R * U).mean(axis=1) - 0.5 * (mR + mU) + 0.25 * tri_s)
-        det = a * c - b * b
-        newton = (a < 0.0) & (det > 0.0)
-        step = np.where(newton, [(b * g2 - c * g1) / det, (b * g1 - a * g2) / det],
-                        [g1, g2] / np.hypot(g1, g2)).T
-        return step, np.where(newton, g1 * step[:, 0] + g2 * step[:, 1], np.nan)
+        return (g1, g2), (a, b, c)
 
     def fit_rows(self, X):
         # Newton ascent on eta = (log df1, log df2) from the best point of an
-        # 8 x 3 grid; a step is halved until the mean log-likelihood does not
-        # fall.  A row converges, taking its last step, once its Newton
-        # decrement is at most 1e-13 max(1, |l|): a fixed gradient tolerance
-        # fails rows whose l no longer resolves the gain.  A row whose ascent
-        # takes df1 or df2 above 1e5 fails, its likelihood still rising
-        # towards the scaled chi-square limit of F; so does a row whose step
-        # stalls or that still moves after 200 steps.
+        # 8 x 3 grid.  A row whose ascent takes df1 or df2 above 1e5 fails,
+        # its likelihood still rising towards the scaled chi-square limit of F.
         size = X.shape[0]
-        ok, r = np.zeros(size, dtype=bool), np.arange(size)
+        r = np.arange(size)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             mlx, m = np.log(X).mean(axis=1), X.mean(axis=1)
             d2 = np.clip(np.where(m > 1.1, 2.0 * m / (m - 1.0), 4.0), 0.5, 500.0)
@@ -660,33 +704,14 @@ class _Fisher(_Family):
             # the first best grid point in (df1, df2) order; NaN is not best
             ll = np.hstack([self.log_density((d1, d2[:, :, None]), X[:, None, :])
                             .mean(axis=-1) for d1 in _FISHER_GRID])
-            k = np.nan_to_num(ll, nan=-np.inf).argmax(axis=1)
-            ll = ll[r, k]
-            eta = np.log(np.column_stack([np.array(_FISHER_GRID)[k // 3],
-                                          d2[r, k % 3]]))
-            rows = np.flatnonzero(_spread(X) & np.isfinite(ll))
-            for _ in range(200):
-                if rows.size == 0:
-                    break
-                step, dec = self._ascent_step(X[rows], mlx[rows], eta[rows])
-                conv = dec <= 1e-13 * np.maximum(1.0, np.abs(ll[rows]))
-                eta[rows[conv]] += step[conv]
-                ok[rows[conv]] = True
-                rows, step = rows[~conv], step[~conv]
-                pend, lam = np.arange(rows.size), 1.0
-                while pend.size and lam > 1e-18:
-                    trial = eta[rows[pend]] + lam * step[pend]
-                    t = self.mean_loglik_rows(X[rows[pend]], np.exp(trial))
-                    take = t >= ll[rows[pend]]
-                    eta[rows[pend[take]]], ll[rows[pend[take]]] = trial[take], t[take]
-                    pend, lam = pend[~take], 0.5 * lam
-                live = (eta[rows] <= _FISHER_TOP).all(axis=1)
-                live[pend] = False
-                rows = rows[live]
-        ok &= (eta <= _FISHER_TOP).all(axis=1)
-        P = np.exp(eta)
-        P[~ok] = np.nan
-        return P, ok
+        k = np.nan_to_num(ll, nan=-np.inf).argmax(axis=1)
+        ll = ll[r, k]
+        eta = np.log(np.column_stack([np.array(_FISHER_GRID)[k // 3], d2[r, k % 3]]))
+        ok = _newton_ascent(
+            eta, np.flatnonzero(_spread(X) & np.isfinite(ll)),
+            lambda r, *e: self.mean_loglik_rows(X[r], np.exp(np.column_stack(e))),
+            lambda r, *e: self._grad_hess(X[r], mlx[r], *e), ll=ll, top=_FISHER_TOP)
+        return np.exp(eta), ok
 
 
 class _Laplace(_Family):
@@ -755,10 +780,11 @@ class _Beta(_Family):
         return rng.beta(a, b, size)
 
     def fit_rows(self, X):
-        # Damped Newton on the score
-        #   (psi(a+b) - psi(a) + mean log x, psi(a+b) - psi(b) + mean log(1-x))
-        # from the method-of-moments start; a step is halved until it stays
-        # in a, b > 0 and lowers the score norm.
+        # Newton ascent in (a, b) from the method-of-moments start on
+        #   l(a, b) = (a - 1) mean(log x) + (b - 1) mean(log(1 - x)) - log B(a, b)
+        # which is concave.  log B is finite at some a, b <= 0, where l is
+        # -inf; it is computed from log Gamma(a + b), whose rounding can
+        # exceed 1e-13 |l| at large shapes
         with np.errstate(divide="ignore", invalid="ignore"):
             mlx = np.log(X).mean(axis=1)
             ml1x = np.log1p(-X).mean(axis=1)
@@ -766,50 +792,21 @@ class _Beta(_Family):
             v = X.var(axis=1)
             common = m * (1.0 - m) / v - 1.0
         moments = common > 0.0
-        a = np.where(moments, m * common, 1.0)
-        b = np.where(moments, (1.0 - m) * common, 1.0)
-        ok = np.zeros(X.shape[0], dtype=bool)
+        P = np.column_stack([np.where(moments, m * common, 1.0),
+                             np.where(moments, (1.0 - m) * common, 1.0)])
+
+        def loglik(r, a, b):
+            l = (a - 1.0) * mlx[r] + (b - 1.0) * ml1x[r] - _lbeta(a, b)
+            return np.where(np.minimum(a, b) > 0.0, l, -np.inf)
+
+        def grad_hess(r, a, b):
+            psi_ab, tri_ab = psi(a + b), zeta(2, a + b)
+            return ((psi_ab - psi(a) + mlx[r], psi_ab - psi(b) + ml1x[r]),
+                    (tri_ab - zeta(2, a), tri_ab, tri_ab - zeta(2, b)))
+
         rows = np.flatnonzero(_spread(X) & (v > 0.0)
                               & np.isfinite(mlx) & np.isfinite(ml1x))
-
-        def score(rows, a_, b_):
-            psi_ab = psi(a_ + b_)
-            s1, s2 = psi_ab - psi(a_) + mlx[rows], psi_ab - psi(b_) + ml1x[rows]
-            return s1, s2, np.sqrt(s1 * s1 + s2 * s2)
-
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            s1, s2, norm = score(rows, a[rows], b[rows])
-            for _ in range(200):
-                conv = norm <= 1e-10
-                ok[rows[conv]] = True
-                live = ~conv
-                rows, s1, s2, norm = rows[live], s1[live], s2[live], norm[live]
-                if rows.size == 0:
-                    break
-                ra, rb = a[rows], b[rows]
-                tg_ab = polygamma(1, ra + rb)
-                h11, h22 = tg_ab - polygamma(1, ra), tg_ab - polygamma(1, rb)
-                det = h11 * h22 - tg_ab * tg_ab
-                d1 = (tg_ab * s2 - h22 * s1) / det
-                d2 = (tg_ab * s1 - h11 * s2) / det
-                pend = np.arange(rows.size)  # rows whose step is not yet taken
-                lam = 1.0
-                for _damp in range(40):
-                    ta, tb = ra[pend] + lam * d1[pend], rb[pend] + lam * d2[pend]
-                    t1, t2, tn = score(rows[pend], ta, tb)
-                    take = (ta > 0.0) & (tb > 0.0) & (tn < norm[pend])
-                    hit = pend[take]
-                    a[rows[hit]], b[rows[hit]] = ta[take], tb[take]
-                    s1[hit], s2[hit], norm[hit] = t1[take], t2[take], tn[take]
-                    pend = pend[~take]
-                    if pend.size == 0:
-                        break
-                    lam *= 0.5
-                moved = np.ones(rows.size, dtype=bool)
-                moved[pend] = False  # stalled: no step lowered the norm
-                rows, s1, s2, norm = rows[moved], s1[moved], s2[moved], norm[moved]
-        P = np.column_stack([a, b])
-        P[~ok] = np.nan
+        ok = _newton_ascent(P, rows, loglik, grad_hess, terms=gammaln(P.sum(axis=1)))
         return P, ok
 
 

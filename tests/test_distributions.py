@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.stats as st
 from scipy.integrate import quad
+from scipy.special import betaincinv, psi
 
 from vsgof.distributions import (
     FitResult,
@@ -209,11 +210,8 @@ def test_quantile_roundtrip(fid):
     assert np.allclose(back, qs, rtol=0.0, atol=1e-9)
 
 
-@pytest.mark.parametrize("fid, params", [("fisher", (5.0, 10.0)),
-                                         ("beta", (2.5, 5.0))])
-@pytest.mark.parametrize("q", [1e-200, 1e-300, 5e-324])
-def test_quantile_at_tiny_levels_against_mpmath(fid, params, q):
-    # betaincinv gives NaN below q ~ 1e-200; the small-q series takes over
+def mpmath_quantile(fid, params, q):
+    """The beta or fisher quantile at level q, solved with mpmath."""
     import mpmath as mp
     with mp.workdps(50):
         if fid == "fisher":
@@ -224,10 +222,46 @@ def test_quantile_at_tiny_levels_against_mpmath(fid, params, q):
         y = mp.exp(mp.findroot(
             lambda t: mp.log(mp.betainc(a, b, 0, mp.exp(t), regularized=True))
             - mp.log(mp.mpf(q)), mp.log(start)))
-        want = (params[1] * y / (params[0] * (1 - y)) if fid == "fisher"
+        return (params[1] * y / (params[0] * (1 - y)) if fid == "fisher"
                 else y)
-        got = float(quantile(fid, params, q))
-        assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("fid, params", [("fisher", (5.0, 10.0)),
+                                         ("beta", (2.5, 5.0))])
+@pytest.mark.parametrize("q", [1e-200, 1e-300, 5e-324])
+def test_quantile_at_tiny_levels_against_mpmath(fid, params, q):
+    # betaincinv gives NaN below q ~ 1e-200; the small-q series takes over
+    want = mpmath_quantile(fid, params, q)
+    got = float(quantile(fid, params, q))
+    assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("fid, params", [("beta", (50.0, 3.0)),
+                                         ("beta", (2.5, 5.0)),
+                                         ("fisher", (100.0, 3.0))])
+@pytest.mark.parametrize("q", [5e-324, 1e-320, 1e-310])
+def test_quantile_at_subnormal_levels_against_mpmath(fid, params, q):
+    # betaincinv can return a finite, wrong value at subnormal q (20 % off
+    # for beta (50, 3) at 5e-324): the series with its first correction
+    # takes over below the smallest normal float
+    want = mpmath_quantile(fid, params, q)
+    got = float(quantile(fid, params, q))
+    assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("fid, params", [("beta", (50.0, 3.0)),
+                                         ("beta", (0.3, 0.3)),
+                                         ("fisher", (100.0, 3.0)),
+                                         ("fisher", (5.0, 10.0))])
+def test_quantile_at_normal_levels_is_betaincinv(fid, params):
+    # wherever betaincinv gives a normal value at a normal level, the
+    # quantile is its value, bit for bit
+    q = np.concatenate([np.logspace(-307, -1, 600), np.linspace(0.01, 0.99, 99)])
+    a, b = (0.5 * params[0], 0.5 * params[1]) if fid == "fisher" else params
+    y = betaincinv(a, b, q)
+    good = y > np.finfo(float).tiny
+    want = params[1] * y / (params[0] * (1.0 - y)) if fid == "fisher" else y
+    np.testing.assert_array_equal(quantile(fid, params, q[good]), want[good])
 
 
 def test_real_line_cdf_far_out_leaks_no_warning():
@@ -549,6 +583,22 @@ def test_batched_fit_reaches_scipy_mle_on_shape_grid(fid, params, n):
         ours = float(np.mean(log_density(fid, P[i], X[i])))
         ref = float(np.mean(log_density(fid, ref_params, X[i])))
         assert ours >= ref - 1e-9 * abs(ref)
+
+
+@pytest.mark.parametrize("params", [(200.0, 200.0), (1000.0, 3.0), (3.0, 1000.0),
+                                    (1e4, 1e4)])
+@pytest.mark.parametrize("n", [5, 20, 200])
+def test_beta_fit_converges_at_large_shapes(params, n):
+    # At large shapes the rounding of log B(a, b) hides the last gains of
+    # the likelihood; the ascent still ends at a zero of the score.
+    X = sample("beta", params, (50, n),
+               np.random.default_rng([int(params[0]), int(params[1]), n]))
+    P, ok = fit_rows("beta", X)
+    assert ok.all()
+    a, b = P.T
+    score = (psi(a + b) - psi(a) + np.log(X).mean(axis=1),
+             psi(a + b) - psi(b) + np.log1p(-X).mean(axis=1))
+    assert np.abs(score).max() <= 1e-11
 
 
 @pytest.mark.parametrize("n", [20, 60, 200])
