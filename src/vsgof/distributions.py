@@ -120,13 +120,14 @@ def _newton_step(g, H):
     h22)``); where H is not negative definite, the unit gradient and NaN."""
     if len(g) == 1:
         (g1,), (a,) = g, H
-        newton, step = a < 0.0, [-g1 / a]
+        newton, s1 = a < 0.0, -g1 / a
+        dec, step = g1 * s1, s1[:, None]
     else:
         (g1, g2), (a, b, c) = g, H
         det = a * c - b * b
         newton = (a < 0.0) & (det > 0.0)
-        step = [(b * g2 - c * g1) / det, (b * g1 - a * g2) / det]
-    dec, step = sum(gi * si for gi, si in zip(g, step)), np.array(step).T
+        s1, s2 = (b * g2 - c * g1) / det, (b * g1 - a * g2) / det
+        dec, step = g1 * s1 + g2 * s2, np.column_stack([s1, s2])
     if newton.all():
         return step, dec
     G = np.column_stack(g)
@@ -167,6 +168,9 @@ def _newton_ascent(theta, rows, loglik, grad_hess, ll=None, top=math.inf,
                 trial = now + lam * step[pend]
                 t = loglik(rows[pend], *trial.T)
                 take = (t >= l[pend]) & (trial != now).any(axis=1)
+                if take.all():  # the usual case: every row takes its step
+                    th[pend], l[pend], pend = trial, t, pend[:0]
+                    break
                 th[pend[take]], l[pend[take]] = trial[take], t[take]
                 pend, lam = pend[~take], 0.5 * lam
             if terms is not None:
@@ -174,9 +178,9 @@ def _newton_ascent(theta, rows, loglik, grad_hess, ll=None, top=math.inf,
             if done.any():
                 theta[rows[done]] = th[done] + step[done]
                 ok[rows[done]] = True
-            live = ~done & (th <= top).all(axis=1)
-            live[pend] = False
-            if not live.all():
+            if done.any() or pend.size or top < math.inf:
+                live = ~done & (th <= top).all(axis=1)
+                live[pend] = False
                 rows, th, l = rows[live], th[live], l[live]
     ok &= (theta <= top).all(axis=1)
     theta[~ok] = np.nan
