@@ -8,20 +8,17 @@ that fails or is degenerate.  Every single-sample fit is row 0 of
 ``fit_rows``, so a sample and its null replicates share one estimator.
 Six families have textbook closed forms; a row whose mean (or spread) is
 beyond the float range fails.  Gamma, weibull, beta and fisher share one
-Newton ascent of the mean log-likelihood l, run as array code over the
-rows not yet converged (``_newton_ascent``): a closed-form Newton step, a
-unit gradient step where the Hessian is not negative definite, a step
-halved until l does not fall, and convergence once the Newton decrement is
-at most 1e-13 max(1, |l|).  Each family supplies its start, l at a point,
-and the gradient and Hessian at a point: gamma and weibull in the shape of
-the profile likelihood (from the row's mean and mean log x, and from the
-weights x^shape), beta in (a, b) from the mean logs of x and 1 - x, fisher
-in the log degrees of freedom.  A fisher row fails once its ascent takes
-df1 or df2 above 1e5: its likelihood still rises towards the scaled
-chi-square limit of F, and the computed log-density, accurate to ~1e-11 at
-1e5, drifts beyond it.  The standard normal CDF and its inverse (``ndtr``,
-``ndtri``), digamma, trigamma (as ``zeta(2, x)``) and log-gamma come from
-``scipy.special``.
+Newton ascent of the mean log-likelihood l over the rows not yet converged
+(``_newton_ascent``): a closed-form Newton step, or the unit gradient where
+the Hessian is not negative definite, halved until l does not fall, until
+the Newton decrement is at most 1e-13 max(1, |l|).  Each family supplies
+its start, l, and the gradient and Hessian of l: gamma and weibull in the
+shape of the profile likelihood, beta in (a, b), fisher in the log degrees
+of freedom.  A fisher row fails once its ascent takes df1 or df2 above 1e5:
+its likelihood still rises towards the scaled chi-square limit of F, and
+the computed log-density, accurate to ~1e-11 at 1e5, drifts beyond it.
+The standard normal CDF and its inverse (``ndtr``, ``ndtri``), digamma,
+trigamma (as ``zeta(2, x)``) and log-gamma come from ``scipy.special``.
 
 Families are addressed either by id ("normal") or by the d-prefixed call
 name ("dnorm").  Parameter conventions:
@@ -713,8 +710,8 @@ class _Fisher(_Family):
         eta = np.log(np.column_stack([np.array(_FISHER_GRID)[k // 3], d2[r, k % 3]]))
         ok = _newton_ascent(
             eta, np.flatnonzero(_spread(X) & np.isfinite(ll)),
-            lambda r, *e: self.mean_loglik_rows(X[r], np.exp(np.column_stack(e))),
-            lambda r, *e: self._grad_hess(X[r], mlx[r], *e), ll=ll, top=_FISHER_TOP)
+            lambda i, *e: self.mean_loglik_rows(X[i], np.exp(np.column_stack(e))),
+            lambda i, *e: self._grad_hess(X[i], mlx[i], *e), ll=ll, top=_FISHER_TOP)
         return np.exp(eta), ok
 
 
