@@ -94,9 +94,9 @@ def _betaincinv(a, b, q):
     (NaN, or the smallest normal float, at q below ~1e-200)."""
     q = np.asarray(q, dtype=float)
     y = betaincinv(a, b, q)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         y0 = np.exp((np.log(a) + _lbeta(a, b) + np.log(q)) / a)
-    series = y0 * (1.0 + (b - 1.0) * y0 / (a + 1.0))
+        series = y0 * (1.0 + (b - 1.0) * y0 / (a + 1.0))
     return np.where((q > 0) & ((q < _TINY) | ~(y > _TINY)), series, y)[()]
 
 

@@ -249,6 +249,18 @@ def test_quantile_at_subnormal_levels_against_mpmath(fid, params, q):
     assert abs(got - want) <= 1e-12 * want
 
 
+@pytest.mark.parametrize("params", [(0.001, 0.001), (0.0005, 0.0005)])
+def test_quantile_at_tiny_shapes_leaks_no_warning(params):
+    # the small-q series, unused where betaincinv is a normal float,
+    # overflows for shapes this small
+    q = np.array([1e-320, 0.3, 0.5, 0.999])
+    y = betaincinv(*params, q)
+    got = quantile("beta", params, q)
+    good = y > np.finfo(float).tiny
+    np.testing.assert_array_equal(got[good], y[good])
+    assert np.all((got >= 0.0) & (got <= 1.0))
+
+
 @pytest.mark.parametrize("fid, params", [("beta", (50.0, 3.0)),
                                          ("beta", (0.3, 0.3)),
                                          ("fisher", (100.0, 3.0)),
