@@ -143,12 +143,14 @@ def _newton_ascent(theta, rows, loglik, grad_hess, ll=None, top=math.inf,
     point ``loglik`` saw for it.
 
     A step is halved until l does not fall.  A row converges, taking its
-    last step, once its Newton decrement is at most 1e-13 max(1, |l|) (a
-    gradient tolerance fails rows whose l no longer resolves the gain), or
-    once its step halves to no move, or below 1e-18, with a decrement at
-    most 1e-13 ``terms``: l is summed from terms of that size, whose
-    rounding can hide the gain.  Any other such stall, 200 steps, or a
-    parameter above ``top`` fails the row.
+    last step, once its Newton decrement is at most 1e-13 max(1, |l|): a
+    gradient tolerance fails rows whose l no longer resolves the gain.
+    Where l is summed from larger terms (``terms``, per row), their rounding
+    can hide the gain first: a row whose step finds no rise in l, with a
+    decrement at most 1e-13 ``terms``, converges at its Newton point, or
+    where it stands if l is not finite there.  A row whose step halves below
+    1e-18 otherwise, that still moves after 200 steps, or that takes a
+    parameter above ``top`` fails.
     """
     ok = np.zeros(theta.shape[0], dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -159,19 +161,22 @@ def _newton_ascent(theta, rows, loglik, grad_hess, ll=None, top=math.inf,
                 break
             step, dec = _newton_step(*grad_hess(rows, *th.T))
             done = dec <= 1e-13 * np.maximum(1.0, np.abs(l))
-            pend, lam = np.flatnonzero(~done), 1.0
+            pend, lam, th0, l0 = np.flatnonzero(~done), 1.0, th.copy(), l.copy()
             while pend.size and lam > 1e-18:
-                now = th[pend]
-                trial = now + lam * step[pend]
+                trial = th[pend] + lam * step[pend]
                 t = loglik(rows[pend], *trial.T)
-                take = (t >= l[pend]) & (trial != now).any(axis=1)
+                take = t >= l[pend]
                 if take.all():  # the usual case: every row takes its step
                     th[pend], l[pend], pend = trial, t, pend[:0]
                     break
                 th[pend[take]], l[pend[take]] = trial[take], t[take]
                 pend, lam = pend[~take], 0.5 * lam
-            if terms is not None:
-                done[pend] = dec[pend] <= 1e-13 * terms[rows[pend]]
+            if terms is not None:  # no rise that l resolves
+                still = np.flatnonzero(~done & (l == l0) & (dec <= 1e-13 * terms[rows]))
+                if still.size:
+                    t = loglik(rows[still], *(th0[still] + step[still]).T)
+                    th[still], done[still] = th0[still], True
+                    step[still[~np.isfinite(t)]] = 0.0
             if done.any():
                 theta[rows[done]] = th[done] + step[done]
                 ok[rows[done]] = True
@@ -508,7 +513,8 @@ class _Gamma(_Family):
             return (np.log(a) - psi(a) - s[r],), (1.0 / a - zeta(2, a),)
 
         rows = np.flatnonzero(_spread(X) & (s > 0.0) & np.isfinite(s))
-        ok = _newton_ascent(a[:, None], rows, loglik, grad_hess)  # moves a
+        terms = gammaln(a)  # a log a and log Gamma(a) cancel in l
+        ok = _newton_ascent(a[:, None], rows, loglik, grad_hess, terms=terms)  # moves a
         return np.column_stack([a, a / mean]), ok
 
 
@@ -784,8 +790,7 @@ class _Beta(_Family):
         # Newton ascent in (a, b) from the method-of-moments start on
         #   l(a, b) = (a - 1) mean(log x) + (b - 1) mean(log(1 - x)) - log B(a, b)
         # which is concave.  log B is finite at some a, b <= 0, where l is
-        # -inf; it is computed from log Gamma(a + b), whose rounding can
-        # exceed 1e-13 |l| at large shapes
+        # -inf; it is summed from log Gamma(a + b), which can far exceed |l|
         with np.errstate(divide="ignore", invalid="ignore"):
             mlx = np.log(X).mean(axis=1)
             ml1x = np.log1p(-X).mean(axis=1)
