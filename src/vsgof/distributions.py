@@ -171,12 +171,12 @@ def _newton_ascent(theta, rows, loglik, grad_hess, ll=None, top=math.inf,
                     break
                 th[pend[take]], l[pend[take]] = trial[take], t[take]
                 pend, lam = pend[~take], 0.5 * lam
-            if terms is not None:  # no rise that l resolves
-                still = np.flatnonzero(~done & (l == l0) & (dec <= 1e-13 * terms[rows]))
-                if still.size:
-                    t = loglik(rows[still], *(th0[still] + step[still]).T)
-                    th[still], done[still] = th0[still], True
-                    step[still[~np.isfinite(t)]] = 0.0
+            still = (l == l0) & ~done  # no rise that l resolves
+            if terms is not None and still.any():
+                still = np.flatnonzero(still & (dec <= 1e-13 * terms[rows]))
+                t = loglik(rows[still], *(th0[still] + step[still]).T)
+                th[still], done[still] = th0[still], True
+                step[still[~np.isfinite(t)]] = 0.0
             if done.any():
                 theta[rows[done]] = th[done] + step[done]
                 ok[rows[done]] = True
