@@ -147,10 +147,10 @@ def _newton_ascent(theta, rows, loglik, grad_hess, ll=None, top=math.inf,
     gradient tolerance fails rows whose l no longer resolves the gain.
     Where l is summed from larger terms (``terms``, per row), their rounding
     can hide the gain first: a row whose step finds no rise in l, with a
-    decrement at most 1e-13 ``terms``, converges at its Newton point, or
-    where it stands if l is not finite there.  A row whose step halves below
-    1e-18 otherwise, that still moves after 200 steps, or that takes a
-    parameter above ``top`` fails.
+    decrement at most 1e-13 ``terms``, converges at its Newton point where
+    l is finite and the decrement no larger, else where it stands.  A row
+    whose step halves below 1e-18 otherwise, that still moves after 200
+    steps, or that takes a parameter above ``top`` fails.
     """
     ok = np.zeros(theta.shape[0], dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -174,9 +174,13 @@ def _newton_ascent(theta, rows, loglik, grad_hess, ll=None, top=math.inf,
             still = (l == l0) & ~done  # no rise that l resolves
             if terms is not None and still.any():
                 still = np.flatnonzero(still & (dec <= 1e-13 * terms[rows]))
-                t = loglik(rows[still], *(th0[still] + step[still]).T)
+                newton = th0[still] + step[still]
+                inside = np.isfinite(loglik(rows[still], *newton.T))
+                kept = still[inside]
+                dec1 = _newton_step(*grad_hess(rows[kept], *newton[inside].T))[1]
                 th[still], done[still] = th0[still], True
-                step[still[~np.isfinite(t)]] = 0.0
+                step[still[~inside]] = 0.0
+                step[kept[~(dec1 <= dec[kept])]] = 0.0
             if done.any():
                 theta[rows[done]] = th[done] + step[done]
                 ok[rows[done]] = True

@@ -613,6 +613,19 @@ def test_beta_fit_converges_at_large_shapes(params, n):
     assert np.abs(score).max() <= 1e-11
 
 
+@pytest.mark.parametrize("spread", [1e-7, 1e-6, 1e-5])
+def test_gamma_fit_of_nearly_constant_samples(spread):
+    # The shape is ~1/spread^2: l and its gradient sit at the rounding of
+    # a log a, so the ascent stops once l finds no rise in a step.
+    rng = np.random.default_rng(7)
+    X = 0.3 * np.exp(0.1 * rng.normal(size=(50, 1))) * (
+        1.0 + spread * rng.normal(size=(50, 10)))
+    P, ok = fit_rows("gamma", X)
+    assert ok.all()
+    shape = P[:, 0] * (X.std(axis=1) / X.mean(axis=1)) ** 2  # ~1 for a gamma
+    assert np.all((shape > 0.5) & (shape < 2.0))
+
+
 @pytest.mark.parametrize("n", [20, 60, 200])
 def test_fisher_fit_reaches_scipy_mle_or_has_no_finite_maximum(n):
     # A row that converges reaches scipy's maximum.  A row that fails has
