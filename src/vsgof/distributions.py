@@ -14,7 +14,8 @@ the Hessian is not negative definite, halved until l does not fall, until
 the Newton decrement is at most 1e-13 max(1, |l|).  Each family supplies
 its start, l, and the gradient and Hessian of l: gamma and weibull in the
 shape of the profile likelihood, beta in (a, b), fisher in the log degrees
-of freedom.  A fisher row fails once its ascent takes df1 or df2 above 1e5:
+of freedom; gamma and beta also the size of the log-gamma terms their l is
+summed from, whose rounding can hide its last gains.  A fisher row fails once its ascent takes df1 or df2 above 1e5:
 its likelihood still rises towards the scaled chi-square limit of F, and
 the computed log-density, accurate to ~1e-11 at 1e5, drifts beyond it.
 The standard normal CDF and its inverse (``ndtr``, ``ndtri``), digamma,
