@@ -11,13 +11,14 @@ beyond the float range fails.  Gamma, weibull, beta and fisher share one
 Newton ascent of the mean log-likelihood l over the rows not yet converged
 (``_newton_ascent``): a closed-form Newton step, or the unit gradient where
 the Hessian is not negative definite, halved until l does not fall, until
-the Newton decrement is at most 1e-13 max(1, |l|).  Each family supplies
-its start, l, and the gradient and Hessian of l: gamma and weibull in the
-shape of the profile likelihood, beta in (a, b), fisher in the log degrees
-of freedom; gamma and beta also the size of the log-gamma terms their l is
-summed from, whose rounding can hide its last gains.  A fisher row fails once its ascent takes df1 or df2 above 1e5:
-its likelihood still rises towards the scaled chi-square limit of F, and
-the computed log-density, accurate to ~1e-11 at 1e5, drifts beyond it.
+the step promises a rise of at most 1e-13 max(1, |l|).  Each family
+supplies its start, l, and the gradient and Hessian of l: gamma and weibull
+in the shape of the profile likelihood, beta in (a, b), fisher in the log
+degrees of freedom.  Gamma and beta also give the size of the log-gamma
+terms their l is summed from, whose rounding can hide its last gains.  A
+fisher row fails once its ascent takes df1 or df2 above 1e5: its likelihood
+still rises towards the scaled chi-square limit of F, and the computed
+log-density, accurate to ~1e-11 at 1e5, drifts beyond it.
 The standard normal CDF and its inverse (``ndtr``, ``ndtri``), digamma,
 trigamma (as ``zeta(2, x)``) and log-gamma come from ``scipy.special``.
 
@@ -113,24 +114,22 @@ def _positive(u: np.ndarray) -> np.ndarray:
 
 
 def _newton_step(g, H):
-    """Newton step -H⁻¹g of each row and its decrement g·step, solved in
-    closed form for one parameter (``H = (h,)``) or two (``H = (h11, h12,
-    h22)``); where H is not negative definite, the unit gradient and NaN."""
+    """Newton step -H⁻¹g of each row, solved in closed form for one
+    parameter (``H = (h,)``) or two (``H = (h11, h12, h22)``), where H is
+    negative definite (the returned mask), else the unit gradient; and the
+    rise g·step each step promises to first order (the Newton decrement)."""
+    G = np.column_stack(g)
     if len(g) == 1:
-        (g1,), (a,) = g, H
-        newton, s1 = a < 0.0, -g1 / a
-        dec, step = g1 * s1, s1[:, None]
+        a = H[0]
+        newton, step = a < 0.0, -G / a[:, None]
     else:
-        (g1, g2), (a, b, c) = g, H
+        (a, b, c), (g1, g2) = H, g
         det = a * c - b * b
         newton = (a < 0.0) & (det > 0.0)
-        s1, s2 = (b * g2 - c * g1) / det, (b * g1 - a * g2) / det
-        dec, step = g1 * s1 + g2 * s2, np.column_stack([s1, s2])
-    if newton.all():
-        return step, dec
-    G = np.column_stack(g)
+        step = np.column_stack([b * g2 - c * g1, b * g1 - a * g2]) / det[:, None]
     unit = G / np.hypot.reduce(np.abs(G), axis=1, keepdims=True)
-    return np.where(newton[:, None], step, unit), np.where(newton, dec, np.nan)
+    step = np.where(newton[:, None], step, unit)
+    return step, (G * step).sum(axis=1), newton
 
 
 def _newton_ascent(theta, rows, loglik, grad_hess, ll=None, top=math.inf,
@@ -143,14 +142,15 @@ def _newton_ascent(theta, rows, loglik, grad_hess, ll=None, top=math.inf,
     :func:`_newton_step` takes them, only at a row's start or at the last
     point ``loglik`` saw for it.
 
-    A step is halved until l does not fall.  A row converges, taking its
-    last step, once its Newton decrement is at most 1e-13 max(1, |l|): a
-    gradient tolerance fails rows whose l no longer resolves the gain.
-    Where l is summed from larger terms (``terms``, per row), their rounding
-    can hide the gain first: a row whose step finds no rise in l, with a
-    decrement at most 1e-13 ``terms``, converges at its Newton point where
-    l is finite and the decrement no larger, else where it stands.  A row
-    whose step halves below 1e-18 otherwise, that still moves after 200
+    A step is halved until l does not fall.  A row converges once its step
+    promises a rise of at most 1e-13 max(1, |l|), taking a last Newton step
+    or standing where the step is the gradient (a tolerance on the gradient
+    alone would fail rows whose l no longer resolves the gain).  Where l is
+    summed from larger terms (of size ``terms(r, *t)``), their rounding can
+    hide the gain first: a row whose Newton step finds no rise in l,
+    promising at most 1e-13 ``terms``, converges at its Newton point where
+    l is finite and the decrement there no larger, else where it stands.  A
+    row whose step halves below 1e-18 otherwise, that still moves after 200
     steps, or that takes a parameter above ``top`` fails.
     """
     ok = np.zeros(theta.shape[0], dtype=bool)
@@ -160,35 +160,30 @@ def _newton_ascent(theta, rows, loglik, grad_hess, ll=None, top=math.inf,
         for _ in range(200):
             if rows.size == 0:
                 break
-            step, dec = _newton_step(*grad_hess(rows, *th.T))
+            step, dec, newton = _newton_step(*grad_hess(rows, *th.T))
             done = dec <= 1e-13 * np.maximum(1.0, np.abs(l))
             pend, lam, th0, l0 = np.flatnonzero(~done), 1.0, th.copy(), l.copy()
             while pend.size and lam > 1e-18:
                 trial = th[pend] + lam * step[pend]
                 t = loglik(rows[pend], *trial.T)
                 take = t >= l[pend]
-                if take.all():  # the usual case: every row takes its step
-                    th[pend], l[pend], pend = trial, t, pend[:0]
-                    break
                 th[pend[take]], l[pend[take]] = trial[take], t[take]
                 pend, lam = pend[~take], 0.5 * lam
-            still = (l == l0) & ~done  # no rise that l resolves
-            if terms is not None and still.any():
-                still = np.flatnonzero(still & (dec <= 1e-13 * terms[rows]))
-                newton = th0[still] + step[still]
-                inside = np.isfinite(loglik(rows[still], *newton.T))
-                kept = still[inside]
-                dec1 = _newton_step(*grad_hess(rows[kept], *newton[inside].T))[1]
-                th[still], done[still] = th0[still], True
-                step[still[~inside]] = 0.0
-                step[kept[~(dec1 <= dec[kept])]] = 0.0
-            if done.any():
-                theta[rows[done]] = th[done] + step[done]
-                ok[rows[done]] = True
-            if done.any() or pend.size or top < math.inf:
-                live = ~done & (th <= top).all(axis=1)
-                live[pend] = False
-                rows, th, l = rows[live], th[live], l[live]
+            k = np.flatnonzero((l == l0) & newton & ~done)  # no rise in l
+            if terms is not None and k.size:
+                k = k[dec[k] <= 1e-13 * terms(rows[k], *th0[k].T)]
+                th[k], done[k] = th0[k], True
+                pt = th[k] + step[k]  # the Newton point, if it is no worse
+                fine = np.isfinite(loglik(rows[k], *pt.T))
+                _, dec1, nt1 = _newton_step(*grad_hess(rows[k[fine]], *pt[fine].T))
+                fine[fine] = nt1 & (dec1 <= dec[k[fine]])
+                step[k[~fine]] = 0.0
+            step[~newton] = 0.0  # a gradient step is not taken on converging
+            theta[rows[done]] = th[done] + step[done]
+            ok[rows[done]] = True
+            live = ~done & (th <= top).all(axis=1)
+            live[pend] = False
+            rows, th, l = rows[live], th[live], l[live]
     ok &= (theta <= top).all(axis=1)
     theta[~ok] = np.nan
     return ok
@@ -518,8 +513,9 @@ class _Gamma(_Family):
             return (np.log(a) - psi(a) - s[r],), (1.0 / a - zeta(2, a),)
 
         rows = np.flatnonzero(_spread(X) & (s > 0.0) & np.isfinite(s))
-        terms = gammaln(a)  # a log a and log Gamma(a) cancel in l
-        ok = _newton_ascent(a[:, None], rows, loglik, grad_hess, terms=terms)  # moves a
+        # a log a and log Gamma(a) cancel in l
+        ok = _newton_ascent(a[:, None], rows, loglik, grad_hess,
+                            terms=lambda r, a: gammaln(a))  # moves a
         return np.column_stack([a, a / mean]), ok
 
 
@@ -556,21 +552,24 @@ class _Weibull(_Family):
 
     def fit_rows(self, X):
         # Newton ascent in the shape a of the profile likelihood (scale^a =
-        # mean x^a).  With u = log x and v = u - max u, which keeps exp(a v)
-        # in range for large trial shapes:
+        # mean x^a).  With v = log(x / max x), which keeps exp(a v) in range
+        # for large trial shapes and resolves values that differ in their
+        # last digits, and u = log x:
         #   l(a) = log a + a mean(v) - log mean(exp(a v)) - mean(u) - 1
         with np.errstate(divide="ignore", invalid="ignore"):
-            U = np.log(X)
-            ubar = U.mean(axis=1)
-            spread = U.std(axis=1)
+            xmax = X.max(axis=1)
+            V = np.log(X / xmax[:, None])
+            wide = X.min(axis=1) / xmax < _TINY  # x / max x leaves the normal range
+            V[wide] = np.log(X[wide]) - np.log(xmax[wide, None])
+            vbar = V.mean(axis=1)
+            ubar = np.log(xmax) + vbar
+            spread = V.std(axis=1)
             a = math.pi / math.sqrt(6.0) / spread  # Gumbel moment initializer
-            umax = U.max(axis=1)
-            V = U - umax[:, None]
-            vbar = ubar - umax
 
         # l, l' = 1/a + mean(v) - E_w v and l'' = -1/a^2 - Var_w v come from
-        # sums over w = exp(a v), which loglik keeps for grad_hess
-        s0, s1, s2 = np.empty((3, X.shape[0]))  # sum w, sum w v, sum w v^2
+        # sums over w = exp(a v), which loglik keeps for grad_hess: one exp
+        # pass per point (a row loglik has not seen reads NaN and fails)
+        s0, s1, s2 = np.full((3, X.shape[0]), np.nan)  # sum w, sum w v, sum w v^2
 
         def loglik(r, a):
             Vr = V[r]
@@ -586,7 +585,7 @@ class _Weibull(_Family):
         rows = np.flatnonzero(_spread(X) & (spread > 0.0) & np.isfinite(spread))
         ok = _newton_ascent(a[:, None], rows, loglik, grad_hess)  # moves a
         with np.errstate(invalid="ignore"):
-            b = np.exp(umax + np.log(np.mean(np.exp(a[:, None] * V), axis=1)) / a)
+            b = xmax * np.exp(np.log(np.mean(np.exp(a[:, None] * V), axis=1)) / a)
         return np.column_stack([a, b]), ok
 
 
@@ -817,7 +816,8 @@ class _Beta(_Family):
 
         rows = np.flatnonzero(_spread(X) & (v > 0.0)
                               & np.isfinite(mlx) & np.isfinite(ml1x))
-        ok = _newton_ascent(P, rows, loglik, grad_hess, terms=gammaln(P.sum(axis=1)))
+        ok = _newton_ascent(P, rows, loglik, grad_hess,
+                            terms=lambda r, a, b: gammaln(a + b))
         return P, ok
 
 

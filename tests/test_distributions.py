@@ -626,6 +626,58 @@ def test_gamma_fit_of_nearly_constant_samples(spread):
     assert np.all((shape > 0.5) & (shape < 2.0))
 
 
+@pytest.mark.parametrize("spread", [1e-14, 1e-11, 1e-8])
+@pytest.mark.parametrize("fid", ["gamma", "beta"])
+def test_fit_of_samples_that_agree_to_eight_digits(fid, spread):
+    # The fitted shapes pass 1e15: the Hessian of l rounds to one that is
+    # not negative definite, and l to one value, yet the rows converge.
+    # Beta fits every row, at the sample mean; gamma fits the rows where
+    # log(mean x) - mean(log x), here at its rounding, is positive.
+    rng = np.random.default_rng(8)
+    X = rng.uniform(0.2, 0.8, size=(50, 1)) * (1.0 + spread * rng.normal(size=(50, 10)))
+    P, ok = fit_rows(fid, X)
+    assert np.all(np.isfinite(P[ok]) & (P[ok] > 0))
+    if fid == "beta":
+        assert ok.all()
+        np.testing.assert_allclose(P[:, 0] / P.sum(axis=1), X.mean(axis=1), rtol=1e-7)
+    else:
+        s = np.log(X.mean(axis=1)) - np.log(X).mean(axis=1)
+        np.testing.assert_array_equal(ok, s > 0)
+        assert ok.sum() >= 10
+
+
+def test_weibull_fit_of_values_that_differ_in_their_last_digits():
+    # log x rounds to one value for all of them, log(x / max x) does not:
+    # the shape, ~3e15, solves the profile score in exact arithmetic to
+    # within the rounding of x / max x, a few per cent here (from
+    # log x - max log x it came out at ~6 % of the solution)
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(9)
+    X = 3.4e-26 * (1.0 + 2.2e-16 * rng.integers(-3, 4, size=(5, 50)))
+    P, ok = fit_rows("weibull", X)
+    assert ok.all()
+    with mpmath.workdps(60):
+        for x, a in zip(X, P[:, 0]):
+            v = [mpmath.log(mpmath.mpf(xi) / mpmath.mpf(x.max())) for xi in x]
+
+            def score(t):
+                w = [mpmath.exp(t * vi) for vi in v]
+                return 1 / t + sum(v) / len(v) - sum(wi * vi for wi, vi in zip(w, v)) / sum(w)
+
+            assert abs(a / float(mpmath.findroot(score, mpmath.mpf(a))) - 1.0) < 0.05
+
+
+def test_weibull_fit_of_values_spanning_the_float_range():
+    # x / max x underflows for the smallest values; the fit is a maximum
+    X = 10.0 ** np.random.default_rng(10).uniform(-300, 300, size=(5, 20))
+    P, ok = fit_rows("weibull", X)
+    assert ok.all()
+    l = mean_loglik_rows("weibull", X, P)
+    for d in (1.0 - 1e-4, 1.0 + 1e-4):
+        assert np.all(mean_loglik_rows("weibull", X, P * [d, 1.0]) < l)
+        assert np.all(mean_loglik_rows("weibull", X, P * [1.0, d]) < l)
+
+
 @pytest.mark.parametrize("n", [20, 60, 200])
 def test_fisher_fit_reaches_scipy_mle_or_has_no_finite_maximum(n):
     # A row that converges reaches scipy's maximum.  A row that fails has
