@@ -118,16 +118,16 @@ def _newton_step(g, H):
     parameter (``H = (h,)``) or two (``H = (h11, h12, h22)``), where H is
     negative definite (the returned mask), else the unit gradient; and the
     rise g·step each step promises to first order (the Newton decrement)."""
-    G = np.column_stack(g)
     if len(g) == 1:
-        a = H[0]
-        newton, step = a < 0.0, -G / a[:, None]
+        (g1,), (a,) = g, H
+        newton, G = a < 0.0, g1[:, None]
+        step, unit = -G / a[:, None], G / np.abs(G)
     else:
-        (a, b, c), (g1, g2) = H, g
+        (g1, g2), (a, b, c) = g, H
         det = a * c - b * b
-        newton = (a < 0.0) & (det > 0.0)
+        newton, G = (a < 0.0) & (det > 0.0), np.column_stack(g)
         step = np.column_stack([b * g2 - c * g1, b * g1 - a * g2]) / det[:, None]
-    unit = G / np.hypot.reduce(np.abs(G), axis=1, keepdims=True)
+        unit = G / np.hypot(g1, g2)[:, None]
     step = np.where(newton[:, None], step, unit)
     return step, (G * step).sum(axis=1), newton
 
@@ -167,7 +167,8 @@ def _newton_ascent(theta, rows, loglik, grad_hess, ll=None, top=math.inf,
                 trial = th[pend] + lam * step[pend]
                 t = loglik(rows[pend], *trial.T)
                 take = t >= l[pend]
-                th[pend[take]], l[pend[take]] = trial[take], t[take]
+                hit = pend[take]
+                th[hit], l[hit] = trial[take], t[take]
                 pend, lam = pend[~take], 0.5 * lam
             k = np.flatnonzero((l == l0) & newton & ~done)  # no rise in l
             if terms is not None and k.size:
