@@ -812,8 +812,14 @@ class _Beta(_Family):
 
         def grad_hess(r, a, b):
             psi_ab, tri_ab = psi(a + b), zeta(2, a + b)
+            tri_a, tri_b = zeta(2, a), zeta(2, b)
+            h11, h22 = tri_ab - tri_a, tri_ab - tri_b
+            # where b >> a (or a >> b) the curvature is below the rounding of
+            # its trigammas: noise, and the step is the gradient's
+            h11[h11 > -1e-12 * tri_a] = np.nan
+            h22[h22 > -1e-12 * tri_b] = np.nan
             return ((psi_ab - psi(a) + mlx[r], psi_ab - psi(b) + ml1x[r]),
-                    (tri_ab - zeta(2, a), tri_ab, tri_ab - zeta(2, b)))
+                    (h11, tri_ab, h22))
 
         rows = np.flatnonzero(_spread(X) & (v > 0.0)
                               & np.isfinite(mlx) & np.isfinite(ml1x))

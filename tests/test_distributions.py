@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.stats as st
 from scipy.integrate import quad
-from scipy.special import betaincinv, psi
+from scipy.special import betaincinv, psi, zeta
 
 from vsgof.distributions import (
     FitResult,
@@ -644,6 +644,21 @@ def test_fit_of_samples_that_agree_to_eight_digits(fid, spread):
         s = np.log(X.mean(axis=1)) - np.log(X).mean(axis=1)
         np.testing.assert_array_equal(ok, s > 0)
         assert ok.sum() >= 10
+
+
+@pytest.mark.parametrize("n", [5, 20])
+def test_beta_fit_of_tiny_values_ends_near_a_zero_of_the_score_in_a(n):
+    # Values far below 1: b ~ a / mean x reaches 1e11 a and more, where l
+    # resolves a only to ~1e-5 and, beyond ~1e12 a, the curvature in b is
+    # below the rounding of the trigammas.  A row that fits is at most a
+    # Newton step of 1e-4 a from the zero of the score in a (or fails).
+    X = 10.0 ** np.random.default_rng(11).uniform(-300, -8, size=(200, n))
+    P, ok = fit_rows("beta", X)
+    a, b = P[ok].T
+    score = psi(a + b) - psi(a) + np.log(X[ok]).mean(axis=1)
+    newton = score / (zeta(2, a) - zeta(2, a + b))  # the Newton step in a
+    assert ok.sum() >= 5
+    assert np.all(np.abs(newton) <= 1e-4 * a)
 
 
 def test_weibull_fit_of_values_that_differ_in_their_last_digits():
