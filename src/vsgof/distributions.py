@@ -4,10 +4,15 @@ Each family provides, under a common interface: parameter validation,
 log-density, CDF, quantile (generalized inverse), exact sampling, and
 maximum-likelihood fitting.  Each family has one MLE, ``fit_rows``: it
 fits every row of a (B, n) Monte-Carlo matrix and flags, not raises, a row
-that fails or is degenerate.  Every single-sample fit is row 0 of
-``fit_rows``, so a sample and its null replicates share one estimator.
-Six families have textbook closed forms; a row whose mean (or spread) is
-beyond the float range fails.  Gamma, weibull, beta and fisher share one
+that fails or is degenerate.  It also returns each row's maximized mean
+log-likelihood (NaN where the row fails), the null term of a composite
+test statistic, so that no caller takes a second pass over the rows.
+Every single-sample fit is row 0 of ``fit_rows``, so a sample and its null
+replicates share one estimator; the module function ``fit_rows`` returns
+the parameters and flags only.  Six families have textbook closed forms,
+and their log-likelihood comes from the same sufficient statistics; a row
+whose mean (or spread), or whose fitted rate, is beyond the float range
+fails.  Gamma, weibull, beta and fisher share one
 Newton ascent of the mean log-likelihood l over the rows not yet converged
 (``_newton_ascent``): a closed-form Newton step, or the unit gradient where
 the Hessian is not negative definite, halved until l does not fall, until
@@ -18,7 +23,9 @@ degrees of freedom.  Gamma and beta also give the size of the log-gamma
 terms their l is summed from, whose rounding can hide its last gains.  A
 fisher row fails once its ascent takes df1 or df2 above 1e5: its likelihood
 still rises towards the scaled chi-square limit of F, and the computed
-log-density, accurate to ~1e-11 at 1e5, drifts beyond it.
+log-density, accurate to ~1e-11 at 1e5, drifts beyond it.  Gamma, weibull
+and beta return l at the point the ascent returns, fisher the mean
+log-density there.
 The standard normal CDF and its inverse (``ndtr``, ``ndtri``), digamma,
 trigamma (as ``zeta(2, x)``) and log-gamma come from ``scipy.special``.
 
@@ -285,22 +292,20 @@ class _Family:
         )
 
     # -- batch helpers (Monte-Carlo engine) ---------------------------------
-    def fit_rows(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Row-wise MLE for a (B, n) matrix; returns (params (B,k), ok (B,))."""
+    def fit_rows(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row-wise MLE for a (B, n) matrix; returns (params (B,k), ok (B,),
+        the maximized mean log-likelihood (B,), NaN where not ok)."""
         raise NotImplementedError
-
-    def _cols(self, P: np.ndarray):
-        return tuple(P[:, j:j + 1] for j in range(P.shape[1]))
 
     def mean_loglik_rows(self, X: np.ndarray, P: np.ndarray) -> np.ndarray:
         """Mean log-density of each row of X under the matching row of P."""
-        return self.log_density(self._cols(P), X).mean(axis=1)
+        return self.log_density(P.T[:, :, None], X).mean(axis=1)
 
     def fit(self, x: np.ndarray) -> np.ndarray:
         """MLE of one sample: row 0 of :meth:`fit_rows` on ``x[None, :]``;
         raises :meth:`fit_error` when the row fails."""
         x = np.asarray(x, dtype=float)
-        P, ok = self.fit_rows(x[None, :])
+        P, ok, _ = self.fit_rows(x[None, :])
         if not ok[0]:
             raise self.fit_error(x)
         return P[0]
@@ -350,7 +355,10 @@ class _Uniform(_Family):
     def fit_rows(self, X):
         lo = X.min(axis=1)
         hi = X.max(axis=1)
-        return np.column_stack([lo, hi]), hi > lo
+        ok = hi > lo
+        with np.errstate(over="ignore"):  # -inf: a range beyond the float range
+            ll = -np.log(np.where(ok, hi - lo, np.nan))
+        return np.column_stack([lo, hi]), ok, ll
 
     def closed_form_entropy(self, params) -> float:
         return math.log(float(params[1]) - float(params[0]))
@@ -387,7 +395,9 @@ class _Normal(_Family):
         with np.errstate(over="ignore", invalid="ignore"):
             mu = X.mean(axis=1)
             sd = np.sqrt(((X - mu[:, None]) ** 2).mean(axis=1))
-        return np.column_stack([mu, sd]), (sd > 0) & (sd < np.inf)
+        ok = (sd > 0) & (sd < np.inf)
+        ll = -np.log(np.where(ok, sd, np.nan)) - 0.5 * (_LOG_2PI + 1.0)
+        return np.column_stack([mu, sd]), ok, ll
 
     def closed_form_entropy(self, params) -> float:
         # log(sigma * sqrt(2 pi e))
@@ -431,7 +441,9 @@ class _LogNormal(_Family):
         L = np.log(X)
         mu = L.mean(axis=1)
         sd = np.sqrt(((L - mu[:, None]) ** 2).mean(axis=1))
-        return np.column_stack([mu, sd]), sd > 0
+        ok = sd > 0
+        ll = -mu - np.log(np.where(ok, sd, np.nan)) - 0.5 * (_LOG_2PI + 1.0)
+        return np.column_stack([mu, sd]), ok, ll
 
 
 class _Exponential(_Family):
@@ -459,12 +471,13 @@ class _Exponential(_Family):
             return -np.log1p(-q) / lam
 
     def fit_rows(self, X):
-        with np.errstate(over="ignore"):  # inf: a sum beyond the float range
-            mean = X.mean(axis=1)
-        ok = (mean > 0) & (mean < np.inf)
-        with np.errstate(divide="ignore"):
-            lam = np.where(ok, 1.0 / mean, np.nan)
-        return lam[:, None], ok
+        # a mean beyond the float range gives a rate of 0, a subnormal one
+        # (below ~5.6e-309) an infinite rate: both fail
+        with np.errstate(over="ignore", divide="ignore"):
+            lam = 1.0 / X.mean(axis=1)
+        ok = (lam > 0) & (lam < np.inf)
+        lam[~ok] = np.nan
+        return lam[:, None], ok, np.log(lam) - 1.0
 
 
 class _Gamma(_Family):
@@ -517,7 +530,11 @@ class _Gamma(_Family):
         # a log a and log Gamma(a) cancel in l
         ok = _newton_ascent(a[:, None], rows, loglik, grad_hess,
                             terms=lambda r, a: gammaln(a))  # moves a
-        return np.column_stack([a, a / mean]), ok
+        with np.errstate(over="ignore"):  # inf: a subnormal mean, and the fit fails
+            rate = a / mean
+        ok &= rate < np.inf
+        P = np.where(ok[:, None], np.column_stack([a, rate]), np.nan)
+        return P, ok, loglik(slice(None), P[:, 0])
 
 
 class _Weibull(_Family):
@@ -586,8 +603,9 @@ class _Weibull(_Family):
         rows = np.flatnonzero(_spread(X) & (spread > 0.0) & np.isfinite(spread))
         ok = _newton_ascent(a[:, None], rows, loglik, grad_hess)  # moves a
         with np.errstate(invalid="ignore"):
-            b = xmax * np.exp(np.log(np.mean(np.exp(a[:, None] * V), axis=1)) / a)
-        return np.column_stack([a, b]), ok
+            lw = np.log(np.mean(np.exp(a[:, None] * V), axis=1))
+            b = xmax * np.exp(lw / a)
+        return np.column_stack([a, b]), ok, np.log(a) + a * vbar - lw - ubar - 1.0
 
 
 class _Pareto(_Family):
@@ -621,11 +639,13 @@ class _Pareto(_Family):
 
     def fit_rows(self, X):
         c = X.min(axis=1)
-        t = np.log(X).mean(axis=1) - np.log(c)
+        mlx = np.log(X).mean(axis=1)
+        t = mlx - np.log(c)
         ok = t > 0
         with np.errstate(divide="ignore"):
             mu = np.where(ok, 1.0 / t, np.nan)
-        return np.column_stack([mu, c]), ok
+        ll = np.log(mu) + mu * np.log(c) - (mu + 1.0) * mlx
+        return np.column_stack([mu, c]), ok, ll
 
     def closed_form_entropy(self, params) -> float:
         mu, c = float(params[0]), float(params[1])
@@ -723,7 +743,8 @@ class _Fisher(_Family):
             eta, np.flatnonzero(_spread(X) & np.isfinite(ll)),
             lambda i, *e: self.mean_loglik_rows(X[i], np.exp(np.column_stack(e))),
             lambda i, *e: self._grad_hess(X[i], mlx[i], *e), ll=ll, top=_FISHER_TOP)
-        return np.exp(eta), ok
+        P = np.exp(eta)
+        return P, ok, self.mean_loglik_rows(X, P)
 
 
 class _Laplace(_Family):
@@ -754,10 +775,16 @@ class _Laplace(_Family):
         return np.where(q < 0.5, lower, upper)
 
     def fit_rows(self, X):
+        n = X.shape[1]
         mu = np.median(X, axis=1)
         with np.errstate(over="ignore"):  # inf: a sum beyond the float range
-            sc = np.abs(X - mu[:, None]).mean(axis=1)
-        return np.column_stack([mu, sc]), (sc > 0) & (sc < np.inf)
+            dev = np.abs(X - mu[:, None]).sum(axis=1)
+        sc = dev / n
+        ok = (sc > 0) & (sc < np.inf)
+        # -log(2 sc) - 1 from the sum: a scale below the normal range is
+        # rounded to a few digits
+        ll = math.log(0.5 * n) - np.log(np.where(ok, dev, np.nan)) - 1.0
+        return np.column_stack([mu, sc]), ok, ll
 
 
 class _Beta(_Family):
@@ -825,7 +852,7 @@ class _Beta(_Family):
                               & np.isfinite(mlx) & np.isfinite(ml1x))
         ok = _newton_ascent(P, rows, loglik, grad_hess,
                             terms=lambda r, a, b: gammaln(a + b))
-        return P, ok
+        return P, ok, np.where(ok, loglik(slice(None), *P.T), np.nan)
 
 
 _FAMILIES: dict[str, _Family] = {}
@@ -898,8 +925,9 @@ def fit_mle(family: str, x: "Sample | np.ndarray") -> FitResult:
 
 
 def fit_rows(family: str, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise MLE over a (B, n) matrix (Monte-Carlo internals)."""
-    return resolve_family(family).fit_rows(np.asarray(X, dtype=float))
+    """Row-wise MLE over a (B, n) matrix (Monte-Carlo internals): the
+    parameters and the ok flag of each row."""
+    return resolve_family(family).fit_rows(np.asarray(X, dtype=float))[:2]
 
 
 def mean_loglik_rows(family: str, X: np.ndarray, P: np.ndarray) -> np.ndarray:

@@ -7,6 +7,9 @@ sample and the null family::
 
 where ``V_mhat`` is the spacing entropy estimate at a data-driven window and
 ``theta`` is either the MLE (composite null) or user-fixed (simple null).
+Under a composite null the second term is the maximized mean
+log-likelihood that the family's ``fit_rows`` returns with its estimate,
+for the observed rows and for every refitted null replicate alike.
 Small divergence supports the null; the test rejects for large ``I``.
 
 Window choice maximizes the entropy estimate over a candidate range
@@ -222,8 +225,9 @@ def _observed_rows(fam, X: np.ndarray, opts: TestOptions,
     ``computable`` are the spacing estimates.  The causes are checked in
     the single test's order: invalid data, data outside the fit interval,
     a failed fit, invalid fitted parameters, data outside the null support
-    (or log-densities summing below the float range), ties (no computable
-    window), the constraint.  ``S`` is X sorted along its rows, given when
+    (or log-densities summing below the float range; a composite row's
+    null term is the one its fit returns), ties (no computable window),
+    the constraint.  ``S`` is X sorted along its rows, given when
     X is one ``Sample``'s values: they are then not checked or sorted again.
     """
     rows, n = X.shape
@@ -232,18 +236,17 @@ def _observed_rows(fam, X: np.ndarray, opts: TestOptions,
         live = _settle(cause, live, ~valid_rows(X), INVALID_DATA)
         S = np.sort(X, axis=1)
     P = np.full((rows, len(fam.param_names)), np.nan)
+    loglik = np.full(rows, np.nan)
     if opts.fixed_params is None:
         live = _settle(cause, live,
                        fam.outside_fit_interval(X[live]).any(axis=1),
                        OUTSIDE_FIT)
-        P[live], fitted = fam.fit_rows(X[live])
+        P[live], fitted, loglik[live] = fam.fit_rows(X[live])
         live = _settle(cause, live, ~fitted, FAILED_FIT)
         live = _settle(cause, live, ~fam.param_rows_ok(P[live]), BAD_FIT)
-        params = fam._cols(P[live])
     else:
         P[:] = params = fam.validate_params(opts.fixed_params)
-    loglik = np.full(rows, np.nan)
-    loglik[live] = _null_loglik(fam, params, X[live])
+        loglik[live] = _null_loglik(fam, params, X[live])
     live = _settle(cause, live, ~np.isfinite(loglik[live]), OUTSIDE_SUPPORT)
     # every row's windows: those of the rows settled above go unused
     ms = candidate_windows(n, _delta(fam, opts), opts.extend)
@@ -384,15 +387,13 @@ def _null_rows(fam, params: np.ndarray | None, X: np.ndarray, refit: bool,
                ms: np.ndarray, relax: bool
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Null replicate rows: statistics, windows, validity flags.  With
-    ``refit`` every row is refitted and ``params`` is not used."""
+    ``refit`` every row is refitted, its null term is the log-likelihood
+    its fit returns, and ``params`` is not used."""
     size = X.shape[0]
-    loglik = np.full(size, np.nan)
     if refit:
-        P, okfit = fam.fit_rows(X)
-        if np.any(okfit):
-            loglik[okfit] = fam.mean_loglik_rows(X[okfit], P[okfit])
+        loglik = fam.fit_rows(X)[2]  # NaN where the refit failed
     else:
-        loglik[:] = fam.log_density(params, X).mean(axis=1)
+        loglik = fam.log_density(params, X).mean(axis=1)
     V, computable = batch_window_values(np.sort(X, axis=1), ms)
     col, ok = _select_rows(V, computable, loglik, relax)
     best = np.where(ok, V[np.arange(size), col], -np.inf)

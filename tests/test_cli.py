@@ -148,6 +148,13 @@ def test_log_density_below_float_range_exits_three(tmp_path, capsys):
     assert code == 3 and "below the float range" in err
 
 
+def test_rate_beyond_the_float_range_exits_seven(tmp_path, capsys):
+    path = datafile(tmp_path, [1e-320, 2e-320, 3e-320, 5e-320, 8e-320, 1.3e-319])
+    for family in ("dexp", "dgamma"):
+        code, _, err = run(capsys, "test", path, "--family", family)
+        assert code == 7 and "did not converge" in err
+
+
 def test_invalid_thread_count_exits_four(tmp_path, capsys):
     x = np.random.default_rng(57).normal(size=40)
     path = datafile(tmp_path, x)

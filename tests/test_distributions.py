@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.stats as st
 from scipy.integrate import quad
-from scipy.special import betaincinv, psi, zeta
+from scipy.special import betaincinv, gammaln, psi, zeta
 
 from vsgof.distributions import (
     FitResult,
@@ -597,14 +597,44 @@ def test_batched_fit_reaches_scipy_mle_on_shape_grid(fid, params, n):
         assert ours >= ref - 1e-9 * abs(ref)
 
 
+# The matrices of the edge-case fits below, also used by the checks of the
+# fitted log-likelihood.
+def large_beta_rows(params, n):
+    return sample("beta", params, (50, n),
+                  np.random.default_rng([int(params[0]), int(params[1]), n]))
+
+
+def nearly_constant_rows(spread):
+    rng = np.random.default_rng(7)
+    return 0.3 * np.exp(0.1 * rng.normal(size=(50, 1))) * (
+        1.0 + spread * rng.normal(size=(50, 10)))
+
+
+def eight_digit_rows(spread):
+    rng = np.random.default_rng(8)
+    return rng.uniform(0.2, 0.8, size=(50, 1)) * (1.0 + spread * rng.normal(size=(50, 10)))
+
+
+def tiny_beta_rows(n):
+    return 10.0 ** np.random.default_rng(11).uniform(-300, -8, size=(200, n))
+
+
+def last_digit_rows():
+    rng = np.random.default_rng(9)
+    return 3.4e-26 * (1.0 + 2.2e-16 * rng.integers(-3, 4, size=(5, 50)))
+
+
+def float_range_rows():
+    return 10.0 ** np.random.default_rng(10).uniform(-300, 300, size=(5, 20))
+
+
 @pytest.mark.parametrize("params", [(200.0, 200.0), (1000.0, 3.0), (3.0, 1000.0),
                                     (1e4, 1e4)])
 @pytest.mark.parametrize("n", [5, 20, 200])
 def test_beta_fit_converges_at_large_shapes(params, n):
     # At large shapes the rounding of log B(a, b) hides the last gains of
     # the likelihood; the ascent still ends at a zero of the score.
-    X = sample("beta", params, (50, n),
-               np.random.default_rng([int(params[0]), int(params[1]), n]))
+    X = large_beta_rows(params, n)
     P, ok = fit_rows("beta", X)
     assert ok.all()
     a, b = P.T
@@ -617,9 +647,7 @@ def test_beta_fit_converges_at_large_shapes(params, n):
 def test_gamma_fit_of_nearly_constant_samples(spread):
     # The shape is ~1/spread^2: l and its gradient sit at the rounding of
     # a log a, so the ascent stops once l finds no rise in a step.
-    rng = np.random.default_rng(7)
-    X = 0.3 * np.exp(0.1 * rng.normal(size=(50, 1))) * (
-        1.0 + spread * rng.normal(size=(50, 10)))
+    X = nearly_constant_rows(spread)
     P, ok = fit_rows("gamma", X)
     assert ok.all()
     shape = P[:, 0] * (X.std(axis=1) / X.mean(axis=1)) ** 2  # ~1 for a gamma
@@ -633,8 +661,7 @@ def test_fit_of_samples_that_agree_to_eight_digits(fid, spread):
     # not negative definite, and l to one value, yet the rows converge.
     # Beta fits every row, at the sample mean; gamma fits the rows where
     # log(mean x) - mean(log x), here at its rounding, is positive.
-    rng = np.random.default_rng(8)
-    X = rng.uniform(0.2, 0.8, size=(50, 1)) * (1.0 + spread * rng.normal(size=(50, 10)))
+    X = eight_digit_rows(spread)
     P, ok = fit_rows(fid, X)
     assert np.all(np.isfinite(P[ok]) & (P[ok] > 0))
     if fid == "beta":
@@ -652,7 +679,7 @@ def test_beta_fit_of_tiny_values_ends_near_a_zero_of_the_score_in_a(n):
     # resolves a only to ~1e-5 and, beyond ~1e12 a, the curvature in b is
     # below the rounding of the trigammas.  A row that fits is at most a
     # Newton step of 1e-4 a from the zero of the score in a (or fails).
-    X = 10.0 ** np.random.default_rng(11).uniform(-300, -8, size=(200, n))
+    X = tiny_beta_rows(n)
     P, ok = fit_rows("beta", X)
     a, b = P[ok].T
     score = psi(a + b) - psi(a) + np.log(X[ok]).mean(axis=1)
@@ -667,8 +694,7 @@ def test_weibull_fit_of_values_that_differ_in_their_last_digits():
     # within the rounding of x / max x, a few per cent here (from
     # log x - max log x it came out at ~6 % of the solution)
     mpmath = pytest.importorskip("mpmath")
-    rng = np.random.default_rng(9)
-    X = 3.4e-26 * (1.0 + 2.2e-16 * rng.integers(-3, 4, size=(5, 50)))
+    X = last_digit_rows()
     P, ok = fit_rows("weibull", X)
     assert ok.all()
     with mpmath.workdps(60):
@@ -684,7 +710,7 @@ def test_weibull_fit_of_values_that_differ_in_their_last_digits():
 
 def test_weibull_fit_of_values_spanning_the_float_range():
     # x / max x underflows for the smallest values; the fit is a maximum
-    X = 10.0 ** np.random.default_rng(10).uniform(-300, 300, size=(5, 20))
+    X = float_range_rows()
     P, ok = fit_rows("weibull", X)
     assert ok.all()
     l = mean_loglik_rows("weibull", X, P)
@@ -720,6 +746,95 @@ def test_mean_loglik_rows_matches_log_density():
     got = mean_loglik_rows("gamma", X, P)
     want = [float(np.mean(log_density("gamma", (2.5, 1.5), X[i]))) for i in range(6)]
     assert np.allclose(got, want, rtol=1e-12)
+
+
+SUBNORMAL = [1e-320, 2e-320, 3e-320, 5e-320, 8e-320, 1.3e-319]
+
+
+def fit_loglik_rows(fid):
+    """Matrices to check a family's fitted log-likelihood on: draws at the
+    oracle parameters (n = 5, 20, 200), a constant and a subnormal row,
+    the shape grid, and the edge cases whose l double resolves."""
+    rng = np.random.default_rng(107)
+    params = SCIPY_ORACLE[fid][0]
+    out = [sample(fid, params, (20, n), rng) for n in (5, 20, 200)]
+    out.append(np.array([[0.3] * 6, SUBNORMAL]))
+    out += [grid_rows(fid, p, n) for f, p in FIT_GRID if f == fid for n in (5, 20, 200)]
+    if fid == "beta":
+        out += [large_beta_rows(p, n) for p in [(200.0, 200.0), (1000.0, 3.0),
+                                                (3.0, 1000.0)] for n in (5, 20, 200)]
+        out += [tiny_beta_rows(n) for n in (5, 20)]
+    if fid == "weibull":
+        out.append(float_range_rows())
+    return out
+
+
+@pytest.mark.parametrize("fid", sorted(SCIPY_ORACLE))
+def test_fitted_loglik_is_the_mean_log_density(fid):
+    # The third output of a family's fit_rows is its mean log-likelihood at
+    # the fit (NaN where the fit fails); for uniform, normal and pareto it
+    # is minus the entropy of the fitted null.  A parameter below the normal
+    # float range is rounded to a few digits: there the fit gives l at the
+    # exact maximum and the mean log-density l at the rounded parameter,
+    # which is lower by the square of that rounding.
+    fam = resolve_family(fid)
+    for X in fit_loglik_rows(fid):
+        P, ok, ll = fam.fit_rows(X)
+        np.testing.assert_array_equal(np.isnan(ll), ~ok)
+        want = fam.mean_loglik_rows(X[ok], P[ok])
+        rtol = np.where((np.abs(P[ok]) < np.finfo(float).tiny).any(axis=1), 1e-9, 1e-12)
+        assert np.all(np.abs(ll[ok] - want) <= rtol * np.maximum(1.0, np.abs(want)))
+        if fid in ("uniform", "normal", "pareto"):
+            entropy = np.array([closed_form_entropy(fid, p) for p in P[ok]])
+            np.testing.assert_allclose(ll[ok], -entropy, rtol=1e-12, atol=1e-12)
+
+
+def _exact_mean_loglik(fid, params, x):
+    """The mean log-density at float parameters and data, to 50 digits."""
+    import mpmath as mp
+    with mp.workdps(50):
+        (a, b), x = [mp.mpf(float(v)) for v in params], [mp.mpf(float(v)) for v in x]
+        if fid == "gamma":  # b: the rate
+            terms = [a * mp.log(b) - mp.loggamma(a) + (a - 1) * mp.log(v) - b * v
+                     for v in x]
+        elif fid == "weibull":  # b: the scale
+            terms = [mp.log(a) - a * mp.log(b) + (a - 1) * mp.log(v) - (v / b) ** a
+                     for v in x]
+        else:
+            lbeta = mp.loggamma(a) + mp.loggamma(b) - mp.loggamma(a + b)
+            terms = [(a - 1) * mp.log(v) + (b - 1) * mp.log(1 - v) - lbeta for v in x]
+        return float(mp.fsum(terms) / len(x))
+
+
+@pytest.mark.parametrize("fid, X", [
+    *[("gamma", sample("gamma", (1e4, 1.0), (10, n), np.random.default_rng([10000, n])))
+      for n in (5, 20, 200)],
+    *[("beta", large_beta_rows((1e4, 1e4), n)[:10]) for n in (5, 20, 200)],
+    *[("gamma", nearly_constant_rows(spread)[:10]) for spread in (1e-7, 1e-5)],
+    *[(fid, eight_digit_rows(spread)[:10]) for fid in ("gamma", "beta")
+      for spread in (1e-14, 1e-8)],
+    ("weibull", last_digit_rows()),
+], ids=["gamma-1e4-5", "gamma-1e4-20", "gamma-1e4-200", "beta-1e4-5", "beta-1e4-20",
+        "beta-1e4-200", "gamma-spread-1e-7", "gamma-spread-1e-5",
+        "gamma-8digits-1e-14", "gamma-8digits-1e-8", "beta-8digits-1e-14",
+        "beta-8digits-1e-8", "weibull-last-digits"])
+def test_fitted_loglik_against_mpmath_where_terms_cancel(fid, X):
+    # At large shapes l is a small difference of terms of size T (log Gamma
+    # of the shape, of a + b for beta; a max|log x| for weibull), and both
+    # the fit's l and the mean log-density carry errors of a few ulps of T
+    # that they largely share (log Gamma(a), log x).  The fit's is no
+    # further from the exact value than the mean log-density's by more
+    # than two ulps of T.
+    fam = resolve_family(fid)
+    P, ok, ll = fam.fit_rows(X)
+    assert ok.any()
+    density = fam.mean_loglik_rows(X, P)  # the mean log-density at the fit
+    for i in np.flatnonzero(ok):
+        a = P[i, 0]
+        T = (a * np.abs(np.log(X[i])).max() if fid == "weibull"
+             else gammaln(P[i].sum() if fid == "beta" else a))
+        exact = _exact_mean_loglik(fid, P[i], X[i])
+        assert abs(ll[i] - exact) <= abs(density[i] - exact) + 2.0 * np.spacing(T)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from vsgof.vstest import (
     statistic_at,
     vs_test,
 )
+from vsgof.spacing import vasicek_estimate
 
 # Sample whose spacing estimate violates the empirical-likelihood bound for
 # every default candidate window under a fitted lognormal null (found by
@@ -152,6 +153,20 @@ def test_fit_whose_mean_leaves_the_float_range_fails(family):
     x = np.array([1e308, 9e307, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     with pytest.raises(EstimationError, match="MLE did not converge$"):
         vs_test(x, family, simulate_p_value=False)
+
+
+@pytest.mark.parametrize("family", ["dexp", "dgamma"])
+def test_fit_whose_rate_leaves_the_float_range_fails(family):
+    # subnormal data: the rate 1 / mean x (times the shape) overflows, and
+    # the fit, not the parameters, is at fault; no warning leaks
+    x = np.array([1e-320, 2e-320, 3e-320, 5e-320, 8e-320, 1.3e-319])
+    with pytest.raises(EstimationError, match="MLE did not converge$"):
+        dist.fit_mle(family, x)
+    with pytest.raises(EstimationError, match="MLE did not converge$"):
+        vs_test(x, family, seed=1, B=10)
+    p, cause = _p_value_rows(dist.resolve_family(family), x[None, :],
+                             np.array([1]), TestOptions(B=10))
+    assert np.isnan(p[0]) and cause[0] == FAILED_FIT
 
 
 def test_fisher_sample_without_a_finite_maximum_fails():
@@ -509,6 +524,19 @@ def test_composite_null_reports_mle():
     recomputed = statistic_at(x, "exponential", report.estimate.params,
                               report.optimal_window)
     assert report.statistic == pytest.approx(recomputed, abs=1e-12)
+    # so for every family, whose null term comes from its fit
+    rng = np.random.default_rng(291)
+    for fid, params in [("uniform", (-1.0, 3.0)), ("normal", (0.5, 1.7)),
+                        ("lognormal", (0.2, 0.8)), ("exponential", (0.7,)),
+                        ("gamma", (2.5, 1.5)), ("weibull", (1.3, 2.0)),
+                        ("pareto", (2.0, 1.5)), ("fisher", (4.0, 6.0)),
+                        ("laplace", (-0.3, 1.2)), ("beta", (2.0, 3.0))]:
+        for n in (20, 200):
+            x = dist.sample(fid, params, n, rng)
+            report = vs_test(x, fid, simulate_p_value=False)
+            recomputed = (-vasicek_estimate(x, report.optimal_window)
+                          - empirical_null_loglik(x, fid, report.estimate.params))
+            assert report.statistic == pytest.approx(recomputed, rel=1e-12, abs=1e-12)
 
 
 def test_report_scan_is_consistent():
