@@ -53,9 +53,15 @@ interval fitted data must lie in, and the base class builds every check
 and message from them; only uniform adds its own ``Min < Max`` check.
 
 Sampling draws from a caller-supplied ``numpy.random.Generator``.  The
-base class samples by inverse CDF (exponential, weibull, pareto, laplace);
-uniform scales raw uniforms, normal/lognormal transform standard normals,
-and gamma/beta/fisher use the generator's native rejection/ratio samplers.
+base class samples by inverse CDF (uniform, exponential, weibull, pareto,
+laplace); normal/lognormal transform standard normals, and gamma/beta/fisher
+use the generator's native rejection/ratio samplers.
+
+The module functions are the one input boundary: they validate the
+parameters and convert the values to float arrays once.  The family methods
+take validated parameters and float arrays, never warn (a value beyond the
+float range becomes inf, an undefined one NaN), and flag the rows they
+cannot fit: a row ``fit_rows`` flags ok passes ``param_rows_ok``.
 """
 
 from __future__ import annotations
@@ -93,7 +99,7 @@ _TINY = np.finfo(float).tiny
 
 
 def _lbeta(a, b):
-    return gammaln(a) + gammaln(b) - gammaln(np.asarray(a) + np.asarray(b))
+    return gammaln(a) + gammaln(b) - gammaln(a + b)
 
 
 def _betaincinv(a, b, q):
@@ -101,7 +107,6 @@ def _betaincinv(a, b, q):
     y0 = (a B(a, b) q)^(1/a) from its log, for q > 0 below the smallest
     normal float (where ``betaincinv`` can be 20 % off) or where it fails
     (NaN, or the smallest normal float, at q below ~1e-200)."""
-    q = np.asarray(q, dtype=float)
     y = betaincinv(a, b, q)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         y0 = np.exp((np.log(a) + _lbeta(a, b) + np.log(q)) / a)
@@ -112,12 +117,6 @@ def _betaincinv(a, b, q):
 def _spread(X: np.ndarray) -> np.ndarray:
     """Rows whose observations are not all equal."""
     return X.max(axis=1) > X.min(axis=1)
-
-
-def _positive(u: np.ndarray) -> np.ndarray:
-    # keep inverse-CDF draws strictly inside (0, 1): Generator.random() is
-    # [0, 1), only the zero endpoint needs nudging
-    return np.maximum(u, _TINY)
 
 
 def _newton_step(g, H):
@@ -283,8 +282,9 @@ class _Family:
         raise NotImplementedError
 
     def sample(self, params, size, rng: np.random.Generator) -> np.ndarray:
-        """Inverse-CDF draw; families with a faster exact sampler override it."""
-        return self.quantile(params, _positive(rng.random(size)))
+        """Inverse-CDF draw; families with a faster exact sampler override it.
+        Generator.random() is [0, 1): a 0 is nudged into (0, 1)."""
+        return self.quantile(params, np.maximum(rng.random(size), _TINY))
 
     def closed_form_entropy(self, params) -> float:
         raise CapabilityError(
@@ -300,15 +300,6 @@ class _Family:
     def mean_loglik_rows(self, X: np.ndarray, P: np.ndarray) -> np.ndarray:
         """Mean log-density of each row of X under the matching row of P."""
         return self.log_density(P.T[:, :, None], X).mean(axis=1)
-
-    def fit(self, x: np.ndarray) -> np.ndarray:
-        """MLE of one sample: row 0 of :meth:`fit_rows` on ``x[None, :]``;
-        raises :meth:`fit_error` when the row fails."""
-        x = np.asarray(x, dtype=float)
-        P, ok, _ = self.fit_rows(x[None, :])
-        if not ok[0]:
-            raise self.fit_error(x)
-        return P[0]
 
     def fit_error(self, x: np.ndarray) -> EstimationError:
         """The error of a failed fit of one sample, from its data alone:
@@ -334,29 +325,22 @@ class _Uniform(_Family):
 
     def log_density(self, params, x):
         a, b = params[0], params[1]
-        x = np.asarray(x, dtype=float)
         inside = (x >= a) & (x <= b)
-        return np.where(inside, -np.log(np.asarray(b) - np.asarray(a)), -np.inf)
+        return np.where(inside, -np.log(b - a), -np.inf)
 
     def cdf(self, params, x):
         a, b = params[0], params[1]
-        x = np.asarray(x, dtype=float)
-        return np.clip((x - a) / (np.asarray(b) - np.asarray(a)), 0.0, 1.0)
+        return np.clip((x - a) / (b - a), 0.0, 1.0)
 
     def quantile(self, params, q):
         a, b = params[0], params[1]
-        q = np.asarray(q, dtype=float)
-        return a + (b - a) * q
-
-    def sample(self, params, size, rng):
-        a, b = float(params[0]), float(params[1])
-        return a + (b - a) * rng.random(size)
+        with np.errstate(over="ignore", invalid="ignore"):  # b - a overflows
+            return a + (b - a) * q
 
     def fit_rows(self, X):
-        lo = X.min(axis=1)
-        hi = X.max(axis=1)
-        ok = hi > lo
-        with np.errstate(over="ignore"):  # -inf: a range beyond the float range
+        lo, hi = X.min(axis=1), X.max(axis=1)
+        ok = (hi > lo) & (lo > -np.inf) & (hi < np.inf)  # False for NaN
+        with np.errstate(over="ignore", invalid="ignore"):  # -inf: b - a overflows
             ll = -np.log(np.where(ok, hi - lo, np.nan))
         return np.column_stack([lo, hi]), ok, ll
 
@@ -372,23 +356,23 @@ class _Normal(_Family):
 
     def log_density(self, params, x):
         mu, sd = params[0], params[1]
-        x = np.asarray(x, dtype=float)
         with np.errstate(over="ignore"):  # -inf: below the float range
             z = (x - mu) / sd
-            return -np.log(np.asarray(sd)) - 0.5 * _LOG_2PI - 0.5 * z * z
+            return -np.log(sd) - 0.5 * _LOG_2PI - 0.5 * z * z
 
     def cdf(self, params, x):
         mu, sd = params[0], params[1]
         with np.errstate(over="ignore"):
-            return ndtr((np.asarray(x, dtype=float) - mu) / sd)
+            return ndtr((x - mu) / sd)
 
     def quantile(self, params, q):
         mu, sd = params[0], params[1]
-        return mu + sd * ndtri(np.asarray(q, dtype=float))
+        return mu + sd * ndtri(q)
 
     def sample(self, params, size, rng):
         mu, sd = float(params[0]), float(params[1])
-        return mu + sd * rng.standard_normal(size)
+        with np.errstate(over="ignore"):  # inf: beyond the float range
+            return mu + sd * rng.standard_normal(size)
 
     def fit_rows(self, X):
         # a mean or spread beyond the float range is not a fit
@@ -414,34 +398,34 @@ class _LogNormal(_Family):
 
     def log_density(self, params, x):
         mu, sd = params[0], params[1]
-        x = np.asarray(x, dtype=float)
         pos = x > 0
         with np.errstate(divide="ignore", invalid="ignore"):
             lx = np.log(np.where(pos, x, 1.0))
             z = (lx - mu) / sd
-            out = -lx - np.log(np.asarray(sd)) - 0.5 * _LOG_2PI - 0.5 * z * z
+            out = -lx - np.log(sd) - 0.5 * _LOG_2PI - 0.5 * z * z
         return np.where(pos, out, -np.inf)
 
     def cdf(self, params, x):
         mu, sd = params[0], params[1]
-        x = np.asarray(x, dtype=float)
         below = x <= 0  # False for NaN, which stays NaN
         z = (np.log(np.where(below, 1.0, x)) - mu) / sd
         return np.where(below, 0.0, ndtr(z))
 
     def quantile(self, params, q):
         mu, sd = params[0], params[1]
-        return np.exp(mu + sd * ndtri(np.asarray(q, dtype=float)))
+        return np.exp(mu + sd * ndtri(q))
 
     def sample(self, params, size, rng):
         mu, sd = float(params[0]), float(params[1])
-        return np.exp(mu + sd * rng.standard_normal(size))
+        with np.errstate(over="ignore"):  # inf: beyond the float range
+            return np.exp(mu + sd * rng.standard_normal(size))
 
     def fit_rows(self, X):
-        L = np.log(X)
-        mu = L.mean(axis=1)
-        sd = np.sqrt(((L - mu[:, None]) ** 2).mean(axis=1))
-        ok = sd > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            L = np.log(X)
+            mu = L.mean(axis=1)
+            sd = np.sqrt(((L - mu[:, None]) ** 2).mean(axis=1))
+        ok = sd > 0  # NaN: a row holding 0, a negative value or +inf
         ll = -mu - np.log(np.where(ok, sd, np.nan)) - 0.5 * (_LOG_2PI + 1.0)
         return np.column_stack([mu, sd]), ok, ll
 
@@ -456,18 +440,15 @@ class _Exponential(_Family):
 
     def log_density(self, params, x):
         lam = params[0]
-        x = np.asarray(x, dtype=float)
-        return np.where(x >= 0, np.log(np.asarray(lam)) - lam * x, -np.inf)
+        return np.where(x >= 0, np.log(lam) - lam * x, -np.inf)
 
     def cdf(self, params, x):
         lam = params[0]
-        x = np.asarray(x, dtype=float)
         return np.where(x < 0, 0.0, -np.expm1(-lam * np.maximum(x, 0.0)))
 
     def quantile(self, params, q):
         lam = params[0]
-        q = np.asarray(q, dtype=float)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             return -np.log1p(-q) / lam
 
     def fit_rows(self, X):
@@ -490,25 +471,25 @@ class _Gamma(_Family):
 
     def log_density(self, params, x):
         a, rate = params[0], params[1]
-        x = np.asarray(x, dtype=float)
         pos = x > 0
         with np.errstate(divide="ignore", invalid="ignore"):
             lx = np.log(np.where(pos, x, 1.0))
-            out = a * np.log(np.asarray(rate)) - gammaln(a) + (a - 1.0) * lx - rate * x
+            out = a * np.log(rate) - gammaln(a) + (a - 1.0) * lx - rate * x
         return np.where(pos, out, -np.inf)
 
     def cdf(self, params, x):
         a, rate = params[0], params[1]
-        x = np.asarray(x, dtype=float)
         return gammainc(a, rate * np.maximum(x, 0.0))
 
     def quantile(self, params, q):
         a, rate = params[0], params[1]
-        return gammaincinv(a, np.asarray(q, dtype=float)) / rate
+        with np.errstate(over="ignore"):  # inf: beyond the float range
+            return gammaincinv(a, q) / rate
 
     def sample(self, params, size, rng):
         a, rate = float(params[0]), float(params[1])
-        return rng.standard_gamma(a, size) / rate
+        with np.errstate(over="ignore"):  # inf: beyond the float range
+            return rng.standard_gamma(a, size) / rate
 
     def fit_rows(self, X):
         # Newton ascent in the shape a of the profile likelihood (rate =
@@ -548,24 +529,21 @@ class _Weibull(_Family):
 
     def log_density(self, params, x):
         a, b = params[0], params[1]
-        x = np.asarray(x, dtype=float)
         pos = x > 0
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             lx = np.log(np.where(pos, x, 1.0))
-            lb = np.log(np.asarray(b))
-            out = np.log(np.asarray(a)) - a * lb + (a - 1.0) * lx - np.exp(a * (lx - lb))
+            lb = np.log(b)
+            out = np.log(a) - a * lb + (a - 1.0) * lx - np.exp(a * (lx - lb))
         return np.where(pos, out, -np.inf)
 
     def cdf(self, params, x):
         a, b = params[0], params[1]
-        x = np.asarray(x, dtype=float)
         z = np.maximum(x, 0.0) / b
         return np.where(x < 0, 0.0, -np.expm1(-(z ** a)))
 
     def quantile(self, params, q):
         a, b = params[0], params[1]
-        q = np.asarray(q, dtype=float)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             return b * (-np.log1p(-q)) ** (1.0 / a)
 
     def fit_rows(self, X):
@@ -618,33 +596,30 @@ class _Pareto(_Family):
 
     def log_density(self, params, x):
         mu, c = params[0], params[1]
-        x = np.asarray(x, dtype=float)
         inside = x >= c
         with np.errstate(divide="ignore", invalid="ignore"):
             lx = np.log(np.where(x > 0, x, 1.0))
-            out = np.log(np.asarray(mu)) + mu * np.log(np.asarray(c)) - (mu + 1.0) * lx
+            out = np.log(mu) + mu * np.log(c) - (mu + 1.0) * lx
         return np.where(inside, out, -np.inf)
 
     def cdf(self, params, x):
         mu, c = params[0], params[1]
-        x = np.asarray(x, dtype=float)
-        t = mu * (np.log(np.asarray(c)) - np.log(np.maximum(x, c)))
+        t = mu * (np.log(c) - np.log(np.maximum(x, c)))
         return np.where(x < c, 0.0, -np.expm1(t))
 
     def quantile(self, params, q):
         mu, c = params[0], params[1]
-        q = np.asarray(q, dtype=float)
         with np.errstate(divide="ignore", over="ignore"):  # inf: the rounding
             return c * (1.0 - q) ** (-1.0 / mu)
 
     def fit_rows(self, X):
         c = X.min(axis=1)
-        mlx = np.log(X).mean(axis=1)
-        t = mlx - np.log(c)
-        ok = t > 0
-        with np.errstate(divide="ignore"):
-            mu = np.where(ok, 1.0 / t, np.nan)
-        ll = np.log(mu) + mu * np.log(c) - (mu + 1.0) * mlx
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            mlx, lc = np.log(X).mean(axis=1), np.log(c)
+            mu = 1.0 / (mlx - lc)
+        ok = (mu > 0) & (mu < np.inf)  # c > 0 too: mu is NaN or 0 otherwise
+        mu[~ok] = np.nan
+        ll = np.log(mu) + mu * lc - (mu + 1.0) * mlx
         return np.column_stack([mu, c]), ok, ll
 
     def closed_form_entropy(self, params) -> float:
@@ -669,31 +644,28 @@ class _Fisher(_Family):
 
     def log_density(self, params, x):
         d1, d2 = params[0], params[1]
-        x = np.asarray(x, dtype=float)
         pos = x > 0
         with np.errstate(divide="ignore", invalid="ignore"):
             lx = np.log(np.where(pos, x, 1.0))
-            half1 = 0.5 * np.asarray(d1, dtype=float)
-            half2 = 0.5 * np.asarray(d2, dtype=float)
-            out = (half1 * (np.log(np.asarray(d1)) + lx)
-                   + half2 * np.log(np.asarray(d2))
+            half1, half2 = 0.5 * d1, 0.5 * d2
+            out = (half1 * (np.log(d1) + lx)
+                   + half2 * np.log(d2)
                    - (half1 + half2) * np.log(d1 * x + d2)
                    - lx - _lbeta(half1, half2))
         return np.where(pos, out, -np.inf)
 
     def cdf(self, params, x):
         d1, d2 = params[0], params[1]
-        x = np.asarray(x, dtype=float)
         dx = d1 * np.maximum(x, 0.0)
         with np.errstate(invalid="ignore"):
             w = dx / (dx + d2)
         # inf / inf at x = +inf (or where d1 * x overflows): the limit is 1
         w = np.where(np.isinf(dx), 1.0, w)
-        return betainc(0.5 * np.asarray(d1), 0.5 * np.asarray(d2), w)
+        return betainc(0.5 * d1, 0.5 * d2, w)
 
     def quantile(self, params, q):
         d1, d2 = params[0], params[1]
-        y = _betaincinv(0.5 * np.asarray(d1), 0.5 * np.asarray(d2), q)
+        y = _betaincinv(0.5 * d1, 0.5 * d2, q)
         with np.errstate(divide="ignore", invalid="ignore"):
             return d2 * y / (d1 * (1.0 - y))
 
@@ -755,21 +727,18 @@ class _Laplace(_Family):
 
     def log_density(self, params, x):
         mu, sc = params[0], params[1]
-        x = np.asarray(x, dtype=float)
         with np.errstate(over="ignore"):  # -inf: below the float range
-            return -np.log(2.0 * np.asarray(sc)) - np.abs(x - mu) / sc
+            return -np.log(2.0 * sc) - np.abs(x - mu) / sc
 
     def cdf(self, params, x):
         mu, sc = params[0], params[1]
-        x = np.asarray(x, dtype=float)
         with np.errstate(over="ignore"):
             z = (x - mu) / sc
             return np.where(z < 0, 0.5 * np.exp(z), 1.0 - 0.5 * np.exp(-z))
 
     def quantile(self, params, q):
         mu, sc = params[0], params[1]
-        q = np.asarray(q, dtype=float)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             lower = mu + sc * np.log(2.0 * q)
             upper = mu - sc * np.log(2.0 * (1.0 - q))
         return np.where(q < 0.5, lower, upper)
@@ -798,7 +767,6 @@ class _Beta(_Family):
 
     def log_density(self, params, x):
         a, b = params[0], params[1]
-        x = np.asarray(x, dtype=float)
         inside = (x > 0.0) & (x < 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             xs = np.where(inside, x, 0.5)
@@ -807,8 +775,7 @@ class _Beta(_Family):
 
     def cdf(self, params, x):
         a, b = params[0], params[1]
-        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-        return betainc(a, b, x)
+        return betainc(a, b, np.clip(x, 0.0, 1.0))
 
     def quantile(self, params, q):
         a, b = params[0], params[1]
@@ -886,12 +853,12 @@ def validate_params(family: str, params) -> np.ndarray:
 def log_density(family: str, params, x):
     """Log density; -inf outside the support.  Broadcasts params against x."""
     fam = resolve_family(family)
-    return fam.log_density(fam.validate_params(params), x)
+    return fam.log_density(fam.validate_params(params), np.asarray(x, dtype=float))
 
 
 def cdf(family: str, params, x):
     fam = resolve_family(family)
-    return fam.cdf(fam.validate_params(params), x)
+    return fam.cdf(fam.validate_params(params), np.asarray(x, dtype=float))
 
 
 def quantile(family: str, params, q):
@@ -918,10 +885,12 @@ def fit_mle(family: str, x: "Sample | np.ndarray") -> FitResult:
     fails to converge.
     """
     fam = resolve_family(family)
-    s = as_sample(x)
-    fam.validate_fit_data(s.values)
-    params = fam.fit(s.values)
-    return FitResult(family_id=fam.family_id, params=params, provenance="mle")
+    x = as_sample(x).values
+    fam.validate_fit_data(x)
+    P, ok, _ = fam.fit_rows(x[None, :])
+    if not ok[0]:
+        raise fam.fit_error(x)
+    return FitResult(family_id=fam.family_id, params=P[0], provenance="mle")
 
 
 def fit_rows(family: str, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -82,8 +82,9 @@ CAUSES: dict[int, tuple[type, str | None]] = {
                  "the constraint)"),
     DISCARDED: (EstimationError,
                 "every Monte-Carlo replicate was discarded (no admissible "
-                "window, or a failed refit); the null model cannot be "
-                "simulated at this sample size"),
+                "window, a failed refit, or a draw outside the null "
+                "support); the null model cannot be simulated at this "
+                "sample size"),
     DEGENERATE_PIT: (DataError,
                      "the probability integral transform is degenerate "
                      "(every value maps to 0 or 1); the fixed null puts no "

@@ -19,9 +19,11 @@ widens the range to every valid window and ``relax`` drops the constraint.
 
 p-values come from a centered-and-scaled normal limit for large samples,
 or from parametric-bootstrap Monte-Carlo (replicates drawn from the fitted
-or fixed null, the whole pipeline re-run per replicate).  Replicates for
-which no window satisfies the constraint, or whose refit fails, are
-dropped from the reference set and counted.
+or fixed null, the whole pipeline re-run per replicate).  A replicate is
+dropped from the reference set, and counted, for one of three causes: no
+candidate window is admissible (ties, or the constraint), its refit fails,
+or its null term is not finite (a draw outside the null support, or
+log-densities summing below the float range).
 
 The observed statistic has one path, ``_observed_rows``: it runs the steps
 above on every row of a matrix and gives each row without a statistic a
@@ -196,13 +198,14 @@ def _select_rows(V: np.ndarray, computable: np.ndarray, loglik: np.ndarray,
     """The window-selection rule, row by row: ``spacing._best_columns``
     over the admissible windows.  A window is admissible when its estimate
     is computable and, unless ``relax``, at most the null bound ``-loglik``
-    (so the statistic is >= 0).  A NaN ``loglik`` (a failed refit) makes
-    the row not ok."""
+    (so the statistic is >= 0).  A ``loglik`` that is not finite (NaN: a
+    failed refit; -inf: a value outside the null support) makes the row
+    not ok."""
     with np.errstate(invalid="ignore"):
         admissible = (computable if relax
                       else computable & (V <= -loglik[:, None]))
     col, found = _best_columns(V, admissible)
-    return col, found & ~np.isnan(loglik)
+    return col, found & np.isfinite(loglik)
 
 
 def _settle(cause: np.ndarray, live: np.ndarray, bad: np.ndarray,
@@ -536,7 +539,8 @@ def vs_test(x: "Sample | np.ndarray", family: str,
         if ignored:
             warnings.append(
                 f"{ignored} of {int(opts.B)} null replicates had no "
-                f"admissible window or a failed refit and were ignored")
+                f"admissible window, a failed refit or a draw outside the "
+                f"null support and were ignored")
         B_used: int | None = int(opts.B)
     else:
         p = asymptotic_p_value(statistic, m_hat, s.n)

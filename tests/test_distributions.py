@@ -321,6 +321,62 @@ def test_density_integrates_to_one(fid):
 
 
 # ---------------------------------------------------------------------------
+# the input boundary: the module functions convert, the families do not
+
+# parameters that are small integers, so that they can be spelled as ints
+INT_PARAMS = {
+    "uniform": (0, 3), "normal": (1, 2), "lognormal": (0, 1), "exponential": (2,),
+    "gamma": (2, 3), "weibull": (2, 1), "pareto": (2, 1), "fisher": (4, 6),
+    "laplace": (0, 1), "beta": (2, 3),
+}
+
+
+def _spellings(values):
+    """Other spellings of the float64 vector of ``values`` (small integers)."""
+    return [list(values), tuple(values), [float(v) for v in values],
+            [np.float64(v) for v in values], tuple(np.int64(v) for v in values),
+            np.array(values)]
+
+
+def _scalar_spellings(v):
+    """Other spellings of the 0-d float64 array of ``v`` (an integer)."""
+    return [v, float(v), np.float64(v), np.int64(v), np.array(v), np.array(float(v))]
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("fid", sorted(SCIPY_ORACLE))
+def test_module_functions_take_any_spelling_of_their_inputs(fid):
+    P = np.array(INT_PARAMS[fid], dtype=float)
+    x, q = np.array([1.0, 2.0]), np.array([0.0, 1.0])
+    draws = sample(fid, P, 40, np.random.default_rng(8))
+    ints = fid not in ("beta", "fisher")  # their fits of these ints fail
+    data = np.array([1.0, 2.0, 3.0, 5.0, 8.0, 13.0]) if ints else draws
+    want_fit = fit_mle(fid, data).params
+    for params in _spellings(INT_PARAMS[fid]):
+        for f in (log_density, cdf):
+            for xs in _spellings((1, 2)):
+                _same_bits(f(fid, params, xs), f(fid, P, x))
+            for xs in _scalar_spellings(2):
+                _same_bits(f(fid, params, xs), f(fid, P, np.array(2.0)))
+        for qs in _spellings((0, 1)):
+            _same_bits(quantile(fid, params, qs), quantile(fid, P, q))
+        for qs in _scalar_spellings(1):
+            _same_bits(quantile(fid, params, qs), quantile(fid, P, np.array(1.0)))
+        for size in (40, (40,), np.int64(40)):
+            _same_bits(sample(fid, params, size, np.random.default_rng(8)), draws)
+    spelled = [data.tolist(), tuple(data.tolist()), list(data)]
+    if ints:
+        spelled += _spellings((1, 2, 3, 5, 8, 13))
+    for xs in spelled:
+        _same_bits(fit_mle(fid, xs).params, want_fit)
+
+
+# ---------------------------------------------------------------------------
 # sampling
 
 
@@ -457,6 +513,32 @@ def test_fit_rows_matches_per_row_fit(fid):
     for i in range(X.shape[0]):
         single = fit_mle(fid, X[i]).params
         assert np.array_equal(P[i], single)
+
+
+# parameters at which some draws leave the float range
+OVERFLOWING_DRAWS = [("exponential", (1e-310,)), ("gamma", (2.0, 1e-310)),
+                     ("uniform", (-1e308, 1e308)), ("lognormal", (0.0, 250.0)),
+                     ("normal", (0.0, 1e308)), ("laplace", (0.0, 1e308)),
+                     ("weibull", (0.01, 1e300))]
+
+
+@pytest.mark.parametrize("fid, params",
+                         [(f, SCIPY_ORACLE[f][0]) for f in sorted(SCIPY_ORACLE)]
+                         + OVERFLOWING_DRAWS)
+def test_family_layer_leaks_no_warning_and_fits_only_valid_parameters(fid, params):
+    # The suite turns a RuntimeWarning into an error.  Draws, quantiles and
+    # fits of rows holding 0, -1, +inf or NaN (among values inside every
+    # support), or one value, leak none, and a row a fit flags ok has
+    # parameters that validate_params accepts and a log-likelihood.
+    fam = resolve_family(fid)
+    quantile(fid, params, [0.0, 0.5, 1.0])
+    base = [0.2, 0.4, 0.5, 0.7, 0.9]
+    bad = np.array([[v, *base] for v in (0.0, -1.0, np.inf, np.nan)]
+                   + [[0.0, -1.0, np.inf, np.nan, 0.5, 0.7], [0.5] * 6])
+    for X in (sample(fid, params, (4, 30), np.random.default_rng(5)), bad):
+        P, ok, ll = fam.fit_rows(X)
+        assert fam.param_rows_ok(P[ok]).all()
+        np.testing.assert_array_equal(np.isnan(ll), ~ok)
 
 
 # fit_mle parameters as float.hex on fixed samples, compared with ==.  For

@@ -61,10 +61,10 @@ def test_vs_test_monte_carlo_p_value_pinned(kind, data_seed, family, options,
     assert report.p_value_method == "monte_carlo"
     assert report.p_value == p_value
     assert report.ignored_replicates == ignored
-    if ignored:  # the warning names both causes of a discard
+    if ignored:  # the warning names the three causes of a discard
         assert (f"{ignored} of {options['B']} null replicates had no "
-                "admissible window or a failed refit and were ignored"
-                in report.warnings)
+                "admissible window, a failed refit or a draw outside the "
+                "null support and were ignored" in report.warnings)
 
 
 @pytest.mark.parametrize("threads", [1, 2])

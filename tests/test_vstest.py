@@ -452,13 +452,48 @@ def test_monte_carlo_ignores_inadmissible_replicates():
     assert any("119 of 500" in w for w in report.warnings)
 
 
+U60 = np.random.default_rng(9).uniform(0.3, 0.7, 60)
+PARETO30 = 1.0 + np.random.default_rng(2).pareto(0.01, 30)
+LOGNORMAL30 = np.exp(np.random.default_rng(1).normal(0.0, 250.0, 30))
+
+
+@pytest.mark.parametrize("x, family, options, p_value, ignored", [
+    # beta(0.2, 0.2) and beta(0.05, 0.05) draws rounded to exactly 0 or 1
+    # have a null term of -inf: discarded, not +inf statistics above every
+    # observed one (counted so, they gave p = 0.0226 with 232 ignored, and
+    # 0.651 with 924)
+    (U60, "beta", dict(fixed_params=(0.2, 0.2), B=2000, seed=4), 0.0, 272),
+    (U60[:20], "beta", dict(fixed_params=(0.05, 0.05), relax=True, B=2000,
+                            seed=4), 0.0, 1625),
+    # one null draw overflows to +inf, and its refit fails: discarded, not
+    # kept with a NaN statistic
+    (PARETO30, "pareto", dict(relax=True, simulate_p_value=True, B=500,
+                              seed=1), 0.342685370741483, 1),
+    # null draws that overflow to +inf, whose refits fail without a warning
+    (LOGNORMAL30, "lognormal", dict(relax=True, simulate_p_value=True, B=500,
+                                    seed=1), 0.8299595141700404, 6),
+], ids=["beta-0.2", "beta-0.05-relax", "pareto-overflow", "lognormal-overflow"])
+def test_null_replicates_need_a_finite_null_term(x, family, options, p_value,
+                                                 ignored):
+    report = vs_test(x, family, **options)
+    assert report.p_value == p_value
+    assert report.ignored_replicates == ignored
+    fixed = options.get("fixed_params")
+    stats, _, ok = simulate_null_statistics(
+        family, fixed or report.estimate.params, x.size, options["B"],
+        refit=fixed is None, ms=report.window_scan.windows,
+        relax=options.get("relax", False), seed=options["seed"])
+    assert np.isfinite(stats[ok]).all() and ok.sum() == options["B"] - ignored
+
+
 def test_monte_carlo_all_replicates_discarded():
     x = np.array(
         [7.284056079172491e-05, 0.0057410230065873605, 0.058183585655950006,
          0.9666634208773721]
     )
     with pytest.raises(EstimationError,
-                       match=r"discarded \(no admissible window, or a failed refit\)"):
+                       match=r"discarded \(no admissible window, a failed "
+                             r"refit, or a draw outside the null support\)"):
         vs_test(x, "gamma", fixed_params=(0.02, 1.0), B=8, seed=0)
 
 
