@@ -6,9 +6,12 @@ A job of ``total`` replicates is cut into chunks of ``chunk`` replicates
 simulation runs on one schedule, ``null_map``: a replicate's (B, n) null
 matrix is drawn in chunks of ``CHUNK`` = 256 rows from its own seed, as
 ``vs_test`` and ``edf_test`` draw it, and a power cell stacks those of its
-replicates; consecutive chunks form blocks of at most ``BLOCK`` values,
-each evaluated at once; blocks run serially or in one thread pool and
-come back in order.  Every evaluation is row-wise, a row's result never
+replicates.  The caller names the draw: ``vs_test`` draws the family's
+values (``sample``) and ``edf_test`` their PIT (``sample_pit``, for an
+inverse-CDF family the uniforms ``sample`` transforms); both take the
+same numbers from the generator.  Consecutive chunks form blocks of at
+most ``BLOCK`` values, each evaluated at once; blocks run serially or in
+one thread pool and come back in order.  Every evaluation is row-wise, a row's result never
 depending on the rows stacked with it, so neither the grouping nor the
 thread count changes a bit; the seed and the chunk size are the contract.
 ``seeded_map`` runs power cells' chunks of ``CELL_CHUNK`` = 50 replicates.
@@ -74,15 +77,17 @@ def seed_chunks(seed, total: int, chunk: int = CHUNK
     return list(zip(sizes, seed.spawn(len(sizes))))
 
 
-def null_map(fam, params_rows, n: int, B: int, seeds, evaluate, *,
+def null_map(draw, params_rows, n: int, B: int, seeds, evaluate, *,
              threads: int = 1) -> tuple[np.ndarray, ...]:
     """``evaluate`` over the (B, n) null matrices of several replicates.
 
     Replicate r's matrix is the one a test with null parameters
     ``params_rows[r]`` and seed ``seeds[r]`` simulates: the rows of its
-    seeded chunks, drawn from ``fam``.  ``evaluate(X)`` maps a block of
-    stacked rows to a tuple of per-row arrays; each array comes back with
-    the rows of every replicate in order (empty for no replicate).
+    seeded chunks, each chunk ``draw(params, (size, n), rng)`` (a family's
+    ``sample``, or its ``sample_pit``).  ``evaluate(X)`` maps a block of
+    stacked rows, a fresh array it may overwrite, to a tuple of per-row
+    arrays; each array comes back with the rows of every replicate in
+    order (empty for no replicate).
     """
     B = check_count(B, "B")
     threads = check_count(threads, "threads")
@@ -98,7 +103,7 @@ def null_map(fam, params_rows, n: int, B: int, seeds, evaluate, *,
     def run(block):
         # no replicate: one empty block, so that the arrays still come back
         return evaluate(np.concatenate(
-            [fam.sample(params, (size, n), np.random.default_rng(child))
+            [draw(params, (size, n), np.random.default_rng(child))
              for params, size, child in block] or [np.empty((0, n))]))
 
     return tuple(map(np.concatenate, zip(*_run_all(run, blocks or [[]],

@@ -55,7 +55,11 @@ and message from them; only uniform adds its own ``Min < Max`` check.
 Sampling draws from a caller-supplied ``numpy.random.Generator``.  The
 base class samples by inverse CDF (uniform, exponential, weibull, pareto,
 laplace); normal/lognormal transform standard normals, and gamma/beta/fisher
-use the generator's native rejection/ratio samplers.
+use the generator's native rejection/ratio samplers.  ``sample_pit`` gives
+the probability integral transform F(X) of the draw ``sample`` makes from
+the same generator state: for an inverse-CDF family X = Q(U), and F(X) is
+taken to be U itself, which differs from the computed F(Q(U)) by rounding
+only; a family with its own sampler (``_Sampled``) computes F(X).
 
 The module functions are the one input boundary: they validate the
 parameters and convert the values to float arrays once.  The family methods
@@ -94,6 +98,7 @@ __all__ = [
     "call_name",
 ]
 
+_LOG_2 = math.log(2.0)
 _LOG_2PI = math.log(2.0 * math.pi)
 _TINY = np.finfo(float).tiny
 
@@ -281,10 +286,15 @@ class _Family:
     def quantile(self, params, q):
         raise NotImplementedError
 
-    def sample(self, params, size, rng: np.random.Generator) -> np.ndarray:
-        """Inverse-CDF draw; families with a faster exact sampler override it.
+    def sample_pit(self, params, size, rng: np.random.Generator) -> np.ndarray:
+        """The uniforms U of an inverse-CDF draw Q(U), the PIT of the draw.
         Generator.random() is [0, 1): a 0 is nudged into (0, 1)."""
-        return self.quantile(params, np.maximum(rng.random(size), _TINY))
+        return np.maximum(rng.random(size), _TINY)
+
+    def sample(self, params, size, rng: np.random.Generator) -> np.ndarray:
+        """Inverse-CDF draw; families with a faster exact sampler override it
+        (``_Sampled``)."""
+        return self.quantile(params, self.sample_pit(params, size, rng))
 
     def closed_form_entropy(self, params) -> float:
         raise CapabilityError(
@@ -310,6 +320,21 @@ class _Family:
         return EstimationError(f"{self.family_id} MLE did not converge")
 
 
+class _Sampled(_Family):
+    """A family with its own exact sampler: the PIT of a draw is its CDF."""
+
+    def sample_pit(self, params, size, rng):
+        return self.cdf(params, self.sample(params, size, rng))
+
+
+def _log_width(a, b):
+    """log(b - a) for a < b, also where b - a overflows."""
+    with np.errstate(over="ignore"):
+        w = b - a
+    return np.where(w < np.inf, np.log(w),
+                    np.log(0.5 * b - 0.5 * a) + _LOG_2)
+
+
 class _Uniform(_Family):
     family_id = "uniform"
     call = "dunif"
@@ -323,32 +348,38 @@ class _Uniform(_Family):
         if not self._constraint_rows(p):
             raise ParameterError(f"uniform requires Min < Max, got {p.tolist()}")
 
+    # Where Max - Min overflows, the CDF and quantile work on the halves of
+    # Min, Max and x; Python floats overflow to inf without a warning
+
     def log_density(self, params, x):
         a, b = params[0], params[1]
         inside = (x >= a) & (x <= b)
-        return np.where(inside, -np.log(b - a), -np.inf)
+        return np.where(inside, -_log_width(a, b), -np.inf)
 
     def cdf(self, params, x):
-        a, b = params[0], params[1]
-        return np.clip((x - a) / (b - a), 0.0, 1.0)
+        a, b = float(params[0]), float(params[1])
+        with np.errstate(over="ignore"):  # x far outside [a, b]: clipped
+            if b - a < math.inf:
+                return np.clip((x - a) / (b - a), 0.0, 1.0)
+            return np.clip((0.5 * x - 0.5 * a) / (0.5 * b - 0.5 * a), 0.0, 1.0)
 
     def quantile(self, params, q):
-        a, b = params[0], params[1]
-        with np.errstate(over="ignore", invalid="ignore"):  # b - a overflows
+        a, b = float(params[0]), float(params[1])
+        if b - a < math.inf:
             return a + (b - a) * q
+        return 2.0 * (0.5 * a + (0.5 * b - 0.5 * a) * q)
 
     def fit_rows(self, X):
         lo, hi = X.min(axis=1), X.max(axis=1)
         ok = (hi > lo) & (lo > -np.inf) & (hi < np.inf)  # False for NaN
-        with np.errstate(over="ignore", invalid="ignore"):  # -inf: b - a overflows
-            ll = -np.log(np.where(ok, hi - lo, np.nan))
+        ll = -_log_width(np.where(ok, lo, np.nan), np.where(ok, hi, np.nan))
         return np.column_stack([lo, hi]), ok, ll
 
     def closed_form_entropy(self, params) -> float:
-        return math.log(float(params[1]) - float(params[0]))
+        return float(_log_width(params[0], params[1]))
 
 
-class _Normal(_Family):
+class _Normal(_Sampled):
     family_id = "normal"
     call = "dnorm"
     param_names = ("Mean", "St. dev.")
@@ -388,7 +419,7 @@ class _Normal(_Family):
         return math.log(float(params[1])) + 0.5 * (_LOG_2PI + 1.0)
 
 
-class _LogNormal(_Family):
+class _LogNormal(_Sampled):
     family_id = "lognormal"
     call = "dlnorm"
     param_names = ("Location", "Scale")
@@ -461,7 +492,7 @@ class _Exponential(_Family):
         return lam[:, None], ok, np.log(lam) - 1.0
 
 
-class _Gamma(_Family):
+class _Gamma(_Sampled):
     family_id = "gamma"
     call = "dgamma"
     param_names = ("Shape", "Rate")
@@ -633,7 +664,7 @@ _FISHER_TOP = math.log(1e5)
 _FISHER_GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)  # df1 starts
 
 
-class _Fisher(_Family):
+class _Fisher(_Sampled):
     family_id = "fisher"
     call = "df"
     param_names = ("df1", "df2")
@@ -756,7 +787,7 @@ class _Laplace(_Family):
         return np.column_stack([mu, sc]), ok, ll
 
 
-class _Beta(_Family):
+class _Beta(_Sampled):
     family_id = "beta"
     call = "dbeta"
     param_names = ("Shape1", "Shape2")

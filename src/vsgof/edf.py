@@ -10,7 +10,11 @@ The observed statistic has one path, ``_observed_rows``, with a cause
 code per row: a single test is row 0 of it, a power cell runs its
 replicates as the rows.  Monte-Carlo replication runs through
 ``vsgof._mc.null_map`` and follows its seeded chunk contract, so p-values
-are bitwise identical for any thread count.  A single test reuses the
+are bitwise identical for any thread count.  The null needs only the PIT
+of each draw (the family's ``sample_pit``), sorted in place: for the five
+inverse-CDF families (uniform, exponential, weibull, pareto, laplace) the
+uniforms themselves, with no quantile and no CDF evaluated; for the five
+with their own sampler, the CDF of the draw.  A single test reuses the
 null reference of a repeated (family, params, n, test, B, seed); a power
 cell, whose seeds never repeat, stacks its replicates' in one call.
 """
@@ -54,11 +58,15 @@ class EdfTestReport:
     seed: int
 
 
-def _pit_rows(fam, params, X: np.ndarray) -> np.ndarray:
-    """Sorted PIT values, one row per sample."""
-    U = np.asarray(fam.cdf(params, X), dtype=float)
+def _sorted(U: np.ndarray) -> np.ndarray:
+    """U with each row sorted in place (a copy would cost page faults)."""
     U.sort(axis=-1)
     return U
+
+
+def _pit_rows(fam, params, X: np.ndarray) -> np.ndarray:
+    """Sorted PIT values, one row per sample."""
+    return _sorted(np.asarray(fam.cdf(params, X), dtype=float))
 
 
 def _degenerate_pit(U: np.ndarray) -> np.ndarray:
@@ -165,8 +173,8 @@ def edf_test(x: "Sample | np.ndarray", family: str, params, test_id: str, *,
     observed, s, fam, p = _statistic(x, family, params, kernel)
     ref, _ = null_reference(
         (fam.family_id, p.tobytes(), s.n, key), B, seed, threads,
-        lambda: (null_map(fam, [p], s.n, B, [seed],
-                          lambda X: (kernel(_pit_rows(fam, p, X)),),
+        lambda: (null_map(fam.sample_pit, [p], s.n, B, [seed],
+                          lambda U: (kernel(_sorted(U)),),
                           threads=threads)[0], B))
     # the share of the B null statistics at or above the observed one
     p_value = float((ref.size - np.searchsorted(ref, observed, "left")) / B)
@@ -185,8 +193,8 @@ def _p_value_rows(fam, params: np.ndarray, test_id: str, X: np.ndarray,
     _, kernel = _resolve_test(test_id)
     cause, observed = _observed_rows(fam, params, X, kernel)
     rows = np.flatnonzero(cause == OK)
-    null, = null_map(fam, [params] * rows.size, X.shape[1], B, seeds[rows],
-                     lambda X: (kernel(_pit_rows(fam, params, X)),))
+    null, = null_map(fam.sample_pit, [params] * rows.size, X.shape[1], B,
+                     seeds[rows], lambda U: (kernel(_sorted(U)),))
     # the share of each row's null statistics at or above its observed one
     p_values = np.full(X.shape[0], np.nan)
     p_values[rows] = (null.reshape(-1, B)

@@ -418,7 +418,7 @@ def simulate_null_statistics(family: str, params, n: int, B: int, *,
     """
     fam = dist.resolve_family(family)
     p = fam.validate_params(params)
-    return null_map(fam, [p], n, B, [seed],
+    return null_map(fam.sample, [p], n, B, [seed],
                     lambda X: _null_rows(fam, p, X, refit, ms, relax),
                     threads=threads)
 
@@ -474,7 +474,7 @@ def _p_value_rows(fam, X: np.ndarray, seeds: np.ndarray, opts: TestOptions
     refit = opts.fixed_params is None
     params = None if refit else P[0]
     stats, _, ok = null_map(
-        fam, P[rows], n, opts.B, seeds[rows],
+        fam.sample, P[rows], n, opts.B, seeds[rows],
         lambda X: _null_rows(fam, params, X, refit, ms, opts.relax))
     # the share of each row's kept null statistics strictly above its
     # observed one; NaN (0 / 0) where every null replicate was discarded

@@ -4,6 +4,7 @@ scipy.stats serves as an independent oracle for densities, CDFs and
 quantiles; the library itself implements every family from scratch.
 """
 
+import hashlib
 import math
 import re
 import warnings
@@ -405,6 +406,74 @@ def test_sampling_mean_within_standard_error():
     for fid, params, mean, sd in cases:
         x = sample(fid, params, n, rng)
         assert abs(float(x.mean()) - mean) < 4.5 * sd / math.sqrt(n)
+
+
+# sha256 of a (40, 25) draw at the oracle parameters from default_rng(2024),
+# recorded when the inverse-CDF draw was split into sample_pit and quantile
+SAMPLE_DIGESTS = {
+    "uniform": "c5aa7da516e5591c9128cbc92ddb234d",
+    "normal": "7b12f5ff6f828d11dcc1fb85c8c65845",
+    "lognormal": "3da81e8d7ea708fe3b4c91fd14c18ed0",
+    "exponential": "bac5d8754b8df269ad2c9bff9fba7254",
+    "gamma": "0a08a72025d1371ef1257e3e98a6b169",
+    "weibull": "4f942a923e1a3bd5fdd8686fc7f33a98",
+    "pareto": "e9dc41a8a3c370e5d8f3b13187115e09",
+    "fisher": "fa396d5ae7ce236da2a57f12d824a5cb",
+    "laplace": "5b88ee9c4ea4ba650ea6d2adf5b0f98e",
+    "beta": "f1a58c2a02c3aafb6fb404712a395e3b",
+}
+INVERSE_CDF = ("uniform", "exponential", "weibull", "pareto", "laplace")
+
+
+@pytest.mark.parametrize("fid", sorted(SCIPY_ORACLE))
+def test_sample_keeps_its_bits(fid):
+    x = sample(fid, SCIPY_ORACLE[fid][0], (40, 25), np.random.default_rng(2024))
+    assert hashlib.sha256(x.tobytes()).hexdigest()[:32] == SAMPLE_DIGESTS[fid]
+
+
+@pytest.mark.parametrize("fid", sorted(SCIPY_ORACLE))
+def test_sample_pit_is_the_pit_of_the_draw(fid):
+    # from one generator state, sample_pit gives F(X) of the draw X that
+    # sample makes and leaves the generator where sample leaves it: for an
+    # inverse-CDF family the clipped uniforms, within 1e-15 of the computed
+    # CDF, and for the others that CDF, bit for bit
+    fam = resolve_family(fid)
+    p = fam.validate_params(SCIPY_ORACLE[fid][0])
+    for seed in range(3):
+        g_pit, g_draw, g_u = (np.random.default_rng(seed) for _ in range(3))
+        u = fam.sample_pit(p, (300, 40), g_pit)
+        F = fam.cdf(p, fam.sample(p, (300, 40), g_draw))
+        if fid in INVERSE_CDF:
+            tiny = np.finfo(float).tiny
+            assert np.array_equal(u, np.maximum(g_u.random((300, 40)), tiny))
+            assert np.abs(u - F).max() <= 1e-15
+        else:
+            assert np.array_equal(u, F)
+        assert g_pit.random() == g_draw.random()
+
+
+def test_uniform_wider_than_the_float_range():
+    # Max - Min overflows: the uniform computes from the halves of Min, Max
+    # and x, which give the bits of a range scaled by a power of two
+    wide, s = (-1e308, 1e308), 2.0 ** -1000
+    narrow = (-1e308 * s, 1e308 * s)
+    x = np.array([-1e308, -3e307, 0.0, 5e306, 1e308])
+    q = np.array([0.0, 0.1, 0.5, 0.9, 1.0])
+    assert np.array_equal(cdf("dunif", wide, x), cdf("dunif", narrow, x * s))
+    assert np.array_equal(quantile("dunif", wide, q),
+                          quantile("dunif", narrow, q) / s)
+    assert np.array_equal(cdf("dunif", wide, [-np.inf, -1.7e308, 1.7e308, np.inf]),
+                          [0.0, 0.0, 1.0, 1.0])
+    log_width = math.log(2.0) + math.log(1e308)  # log(2e308)
+    np.testing.assert_allclose(log_density("dunif", wide, x), -log_width,
+                               rtol=1e-15)
+    assert log_density("dunif", wide, 1.1e308) == -np.inf
+    assert closed_form_entropy("dunif", wide) == pytest.approx(log_width,
+                                                              rel=1e-15)
+    _, ok, ll = resolve_family("uniform").fit_rows(x[None, :])
+    assert ok[0] and ll[0] == pytest.approx(-log_width, rel=1e-15)
+    draws = sample("dunif", wide, 1000, np.random.default_rng(3))
+    assert np.isfinite(draws).all() and draws.min() < -9e307 < 9e307 < draws.max()
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
+from vsgof import distributions as dist
+from vsgof._mc import seed_chunks
 from vsgof.edf import (
     EdfTestReport,
+    _p_value_rows,
+    _resolve_test,
     ad_statistic,
     cvm_statistic,
     edf_mc_p_value,
@@ -142,6 +146,54 @@ def test_p_value_deterministic_across_threads(uncached):
         for t in (1, 2, 8)
     ]
     assert ps[0] == ps[1] == ps[2]
+
+
+ORACLE_PARAMS = {
+    "uniform": (-1.0, 3.0), "normal": (0.5, 1.7), "lognormal": (0.2, 0.8),
+    "exponential": (0.7,), "gamma": (2.5, 1.5), "weibull": (1.3, 2.0),
+    "pareto": (2.0, 1.5), "fisher": (4.0, 6.0), "laplace": (-0.3, 1.2),
+    "beta": (2.0, 3.0),
+}
+
+
+@pytest.mark.parametrize("n", [5, 20, 200])
+@pytest.mark.parametrize("test_id", ["ks", "cvm", "ad"])
+@pytest.mark.parametrize("fid", sorted(ORACLE_PARAMS))
+def test_p_value_is_that_of_the_cdf_of_the_family_draw(uncached, fid, test_id, n):
+    # The null of an inverse-CDF family is drawn as its uniforms, whose
+    # statistics differ from those of the computed CDF of the family draw
+    # by rounding only; the p-values, of one test or of a power cell's row,
+    # are those of the CDF of the draw, from the same seeded chunks
+    B, seed = 200, 31
+    fam = dist.resolve_family(fid)
+    p = fam.validate_params(ORACLE_PARAMS[fid])
+    _, kernel = _resolve_test(test_id)
+    x = fam.sample(p, n, np.random.default_rng(1000 + n))
+    report = edf_test(x, fid, p, test_id, B=B, seed=seed)
+    null = np.concatenate([
+        kernel(np.sort(fam.cdf(p, fam.sample(p, (size, n),
+                                             np.random.default_rng(child))),
+                       axis=1))
+        for size, child in seed_chunks(seed, B)])
+    want = (null >= report.statistic).sum() / B
+    assert report.p_value == want
+    rows, _ = _p_value_rows(fam, p, test_id, x[None, :], np.array([seed]), B)
+    assert rows[0] == want
+
+
+def test_uniform_null_wider_than_the_float_range():
+    # Max - Min overflows: the test gives the bits of the same test on a
+    # range scaled by a power of two, and no warning
+    x, s = np.linspace(-1e307, 1e307, 30), 2.0 ** -1000
+    for test_id in ("ks", "cvm", "ad"):
+        wide = edf_test(x, "dunif", (-1e308, 1e308), test_id, B=200, seed=1)
+        narrow = edf_test(x * s, "dunif", (-1e308 * s, 1e308 * s), test_id,
+                          B=200, seed=1)
+        assert (wide.statistic, wide.p_value) == (narrow.statistic,
+                                                  narrow.p_value)
+        assert wide.p_value == 0.0  # the data fill a tenth of the range
+        if test_id == "ks":
+            assert wide.statistic == pytest.approx(0.45, rel=1e-15)
 
 
 def test_p_value_is_calibrated_under_the_null():

@@ -143,7 +143,7 @@ def test_edf_hit_equals_miss_bit_for_bit(test_id, builds):
     _, kernel = _resolve_test(test_id)
     fam = vsgof.distributions.resolve_family("normal")
     p = fam.validate_params((0.0, 1.0))
-    null, = vsgof._mc.null_map(fam, [p], 35, 700, [19],
+    null, = vsgof._mc.null_map(fam.sample, [p], 35, 700, [19],
                                lambda X: (kernel(_pit_rows(fam, p, X)),))
     assert (float(_share_at_or_above(null, miss.statistic)).hex()
             == miss.p_value.hex())

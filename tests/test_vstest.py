@@ -486,6 +486,22 @@ def test_null_replicates_need_a_finite_null_term(x, family, options, p_value,
     assert np.isfinite(stats[ok]).all() and ok.sum() == options["B"] - ignored
 
 
+def test_uniform_null_wider_than_the_float_range():
+    # Max - Min overflows: no warning and no false DataError, and the test
+    # of the same data scaled by a power of two, up to the rounding of the
+    # spacing logarithms
+    x, s = np.linspace(-1e307, 1e307, 30), 2.0 ** -1000
+    wide = vs_test(x, "dunif", fixed_params=(-1e308, 1e308), B=200, seed=1,
+                   simulate_p_value=True)
+    narrow = vs_test(x * s, "dunif", fixed_params=(-1e308 * s, 1e308 * s),
+                     B=200, seed=1, simulate_p_value=True)
+    assert wide.statistic == pytest.approx(narrow.statistic, rel=1e-12)
+    assert wide.optimal_window == narrow.optimal_window
+    assert (wide.p_value, wide.ignored_replicates) == (
+        narrow.p_value, narrow.ignored_replicates)
+    assert wide.p_value == 0.0  # the data fill a tenth of the range
+
+
 def test_monte_carlo_all_replicates_discarded():
     x = np.array(
         [7.284056079172491e-05, 0.0057410230065873605, 0.058183585655950006,
