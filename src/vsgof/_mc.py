@@ -9,11 +9,17 @@ matrix is drawn in chunks of ``CHUNK`` = 256 rows from its own seed, as
 replicates.  The caller names the draw: ``vs_test`` draws the family's
 values (``sample``) and ``edf_test`` their PIT (``sample_pit``, for an
 inverse-CDF family the uniforms ``sample`` transforms); both take the
-same numbers from the generator.  Consecutive chunks form blocks of at
-most ``BLOCK`` values, each evaluated at once; blocks run serially or in
-one thread pool and come back in order.  Every evaluation is row-wise, a row's result never
-depending on the rows stacked with it, so neither the grouping nor the
-thread count changes a bit; the seed and the chunk size are the contract.
+same numbers from the generator.  No evaluation sees more than ``BLOCK``
+values (one row, where a row is more), so that its temporaries stay small
+enough for the allocator to reuse instead of mapping and faulting them in
+afresh: consecutive chunks form blocks of at most ``BLOCK`` values, each
+evaluated at once, and a chunk of more is drawn and evaluated in even
+tiles of rows, in order, from its one generator (which fills arrays
+sequentially, so the tiles hold the chunk's draw).  Blocks and tiled
+chunks run serially or in one thread pool and come back in order.  Every
+evaluation is row-wise, a row's result never depending on the rows
+stacked with it, so neither the grouping, the tiling nor the thread count
+changes a bit; the seed and the chunk size are the contract.
 ``seeded_map`` runs power cells' chunks of ``CELL_CHUNK`` = 50 replicates.
 
 Null references take two paths on purpose.  A single test's depends on
@@ -36,8 +42,8 @@ from .errors import ParameterError
 
 CHUNK = 256  # replicates per chunk of the vs and EDF null simulations
 CELL_CHUNK = 50  # replicates per chunk of a power-study cell
-# null values (rows x n) per block of chunks evaluated at once; a block
-# holds at least one chunk
+# null values (rows x n) that one evaluation sees at most, 128 KiB: the
+# chunks of a block, or a tile of a larger chunk (one row if a row is more)
 BLOCK = 2 ** 14
 # 8-byte values (512 KiB) the null-reference cache keeps, its keys' arrays
 # included; a larger reference serves its own call but is not kept
@@ -87,7 +93,9 @@ def null_map(draw, params_rows, n: int, B: int, seeds, evaluate, *,
     ``sample``, or its ``sample_pit``).  ``evaluate(X)`` maps a block of
     stacked rows, a fresh array it may overwrite, to a tuple of per-row
     arrays; each array comes back with the rows of every replicate in
-    order (empty for no replicate).
+    order (empty for no replicate).  The chunks go to blocks of at most
+    ``BLOCK`` values, or a larger chunk to tiles, and those to the thread
+    pool; like the grouping, the tiling is not part of the contract.
     """
     B = check_count(B, "B")
     threads = check_count(threads, "threads")
@@ -101,13 +109,25 @@ def null_map(draw, params_rows, n: int, B: int, seeds, evaluate, *,
             values += size * n
 
     def run(block):
-        # no replicate: one empty block, so that the arrays still come back
-        return evaluate(np.concatenate(
-            [draw(params, (size, n), np.random.default_rng(child))
-             for params, size, child in block] or [np.empty((0, n))]))
+        if len(block) != 1:
+            # chunks that fit in BLOCK together; for no replicate one empty
+            # block, so that the arrays still come back
+            return [evaluate(np.concatenate(
+                [draw(params, (size, n), np.random.default_rng(child))
+                 for params, size, child in block] or [np.empty((0, n))]))]
+        # one chunk: the fewest even tiles of at most BLOCK values (one row
+        # if a row is more), drawn in order from the chunk's one generator,
+        # which fills arrays sequentially
+        (params, size, child), = block
+        rng = np.random.default_rng(child)
+        tiles = -(-size // max(BLOCK // n, 1))
+        rows = -(-size // tiles)
+        return [evaluate(draw(params, (min(rows, size - i), n), rng))
+                for i in range(0, size, rows)]
 
-    return tuple(map(np.concatenate, zip(*_run_all(run, blocks or [[]],
-                                                    threads))))
+    return tuple(map(np.concatenate, zip(*(
+        out for part in _run_all(run, blocks or [[]], threads)
+        for out in part))))
 
 
 def _run_all(fn, items: list, threads: int) -> list:

@@ -611,9 +611,13 @@ class _Weibull(_Family):
 
         rows = np.flatnonzero(_spread(X) & (spread > 0.0) & np.isfinite(spread))
         ok = _newton_ascent(a[:, None], rows, loglik, grad_hess)  # moves a
-        with np.errstate(invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             lw = np.log(np.mean(np.exp(a[:, None] * V), axis=1))
             b = xmax * np.exp(lw / a)
+            # b is at least the geometric mean, so at least min x > 0, yet
+            # exp(lw / a) can underflow where xmax is large: take the log
+            low = ~(b > 0.0)
+            b[low] = np.exp(np.log(xmax[low]) + lw[low] / a[low])
         return np.column_stack([a, b]), ok, np.log(a) + a * vbar - lw - ubar - 1.0
 
 

@@ -62,13 +62,12 @@ class CapabilityError(VsgofError):
 # A single test is row 0 of that path: it raises the error class of its
 # row's cause, with the message given here or, where it names positions,
 # the one the data give.  OK is a row with a p-value.
-(OK, INVALID_DATA, OUTSIDE_FIT, FAILED_FIT, BAD_FIT, OUTSIDE_SUPPORT, TIES,
- CONSTRAINT, DISCARDED, DEGENERATE_PIT) = range(10)
+(OK, INVALID_DATA, OUTSIDE_FIT, FAILED_FIT, OUTSIDE_SUPPORT, TIES,
+ CONSTRAINT, DISCARDED, DEGENERATE_PIT) = range(9)
 CAUSES: dict[int, tuple[type, str | None]] = {
     INVALID_DATA: (DataError, None),
     OUTSIDE_FIT: (DataError, None),
     FAILED_FIT: (EstimationError, None),
-    BAD_FIT: (ParameterError, None),
     OUTSIDE_SUPPORT: (DataError, None),
     TIES: (TiesError,
            "too many tied values: no candidate window yields positive "

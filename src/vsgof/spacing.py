@@ -77,11 +77,14 @@ def batch_window_values(sorted_rows: np.ndarray, windows: np.ndarray) -> tuple[n
         if some window is outside 1 <= m < n/2.
 
     The order statistics, clamped at both ends, are laid out once per
-    call, padded with ``max(windows)`` copies of the first and last value;
-    each window then costs one subtraction, one in-place log and one row
-    mean over a single (B, n) buffer reused across windows.  A zero
-    spacing makes the row mean -inf and a NaN spacing makes it NaN, so
-    ``mean > -inf`` is the computability flag.
+    call, padded with ``max(windows)`` copies of the first and last value.
+    Each window then costs three ufunc calls over a single (B, n) buffer
+    reused across windows: a subtraction, an in-place log and a row sum
+    into a (windows, B) table.  The means, the flags and the values are
+    formed once, after the loop; the sum divided by n is the bits of the
+    row mean (numpy's pairwise order over each row).  A zero spacing makes
+    the row mean -inf and a NaN spacing makes it NaN, so ``mean > -inf``
+    is the computability flag.
     """
     S = np.asarray(sorted_rows, dtype=float)
     if S.ndim == 1:
@@ -92,23 +95,22 @@ def batch_window_values(sorted_rows: np.ndarray, windows: np.ndarray) -> tuple[n
         raise ParameterError(
             f"windows {ms.tolist()} outside the valid range 1 <= m < n/2 "
             f"for n={n}")
-    values = np.empty((B, ms.shape[0]))
-    computable = np.empty((B, ms.shape[0]), dtype=bool)
     top = int(ms.max()) if ms.size else 0
     # P[:, top + k] is x_(k) with k clamped to 0..n-1
     P = np.empty((B, n + 2 * top))
     P[:, :top], P[:, top:top + n], P[:, top + n:] = S[:, :1], S, S[:, -1:]
     gaps = np.empty((B, n))
+    sums = np.empty((ms.shape[0], B))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j, m in enumerate(ms):
             # x_(i+m) - x_(i-m), order statistics clamped at both ends
             np.subtract(P[:, top + m:top + m + n], P[:, top - m:top - m + n],
                         out=gaps)
             np.log(gaps, out=gaps)
-            mean = gaps.mean(axis=1)
-            ok = mean > -np.inf
-            computable[:, j] = ok
-            values[:, j] = np.where(ok, np.log(n / (2.0 * m)) + mean, np.nan)
+            np.add.reduce(gaps, axis=1, out=sums[j])
+        mean = (sums / n).T  # the bits of gaps.mean(axis=1), window by window
+        computable = mean > -np.inf
+        values = np.where(computable, np.log(n / (2.0 * ms)) + mean, np.nan)
     return values, computable
 
 

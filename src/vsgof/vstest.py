@@ -52,9 +52,9 @@ from scipy.special import ndtr, psi
 
 from . import distributions as dist
 from ._mc import check_count, check_seed, null_map, null_reference
-from .errors import (BAD_FIT, CONSTRAINT, DISCARDED, FAILED_FIT,
-                     INVALID_DATA, OK, OUTSIDE_FIT, OUTSIDE_SUPPORT, TIES,
-                     DataError, ParameterError, cause_error)
+from .errors import (CONSTRAINT, DISCARDED, FAILED_FIT, INVALID_DATA, OK,
+                     OUTSIDE_FIT, OUTSIDE_SUPPORT, TIES, DataError,
+                     ParameterError, cause_error)
 from .sample import Sample, as_sample, valid_rows
 from .spacing import (WindowScan, _best_columns, _largest_window,
                       batch_window_values, vasicek_estimate)
@@ -227,10 +227,10 @@ def _observed_rows(fam, X: np.ndarray, opts: TestOptions,
     selected column of the candidate windows ``ms``, over which ``V`` and
     ``computable`` are the spacing estimates.  The causes are checked in
     the single test's order: invalid data, data outside the fit interval,
-    a failed fit, invalid fitted parameters, data outside the null support
-    (or log-densities summing below the float range; a composite row's
-    null term is the one its fit returns), ties (no computable window),
-    the constraint.  ``S`` is X sorted along its rows, given when
+    a failed fit (or invalid fitted parameters), data outside the null
+    support (or log-densities summing below the float range; a composite
+    row's null term is the one its fit returns), ties (no computable
+    window), the constraint.  ``S`` is X sorted along its rows, given when
     X is one ``Sample``'s values: they are then not checked or sorted again.
     """
     rows, n = X.shape
@@ -245,8 +245,9 @@ def _observed_rows(fam, X: np.ndarray, opts: TestOptions,
                        fam.outside_fit_interval(X[live]).any(axis=1),
                        OUTSIDE_FIT)
         P[live], fitted, loglik[live] = fam.fit_rows(X[live])
-        live = _settle(cause, live, ~fitted, FAILED_FIT)
-        live = _settle(cause, live, ~fam.param_rows_ok(P[live]), BAD_FIT)
+        # a row whose fitted parameters are invalid is not a fit either
+        live = _settle(cause, live, ~(fitted & fam.param_rows_ok(P[live])),
+                       FAILED_FIT)
     else:
         P[:] = params = fam.validate_params(opts.fixed_params)
         loglik[live] = _null_loglik(fam, params, X[live])
@@ -276,8 +277,6 @@ def _raise_cause(fam, s: Sample, cause: int, params: np.ndarray) -> None:
         fam.validate_fit_data(s.values)
     elif cause == FAILED_FIT:
         raise fam.fit_error(s.values)
-    elif cause == BAD_FIT:
-        fam.validate_params(params)
     elif cause == OUTSIDE_SUPPORT:
         L = fam.log_density(params, s.values)
         bad = np.flatnonzero(~np.isfinite(L))
@@ -391,13 +390,15 @@ def _null_rows(fam, params: np.ndarray | None, X: np.ndarray, refit: bool,
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Null replicate rows: statistics, windows, validity flags.  With
     ``refit`` every row is refitted, its null term is the log-likelihood
-    its fit returns, and ``params`` is not used."""
+    its fit returns, and ``params`` is not used.  X is a fresh block of
+    ``null_map``: it is sorted in place once the null term is taken."""
     size = X.shape[0]
     if refit:
         loglik = fam.fit_rows(X)[2]  # NaN where the refit failed
     else:
         loglik = fam.log_density(params, X).mean(axis=1)
-    V, computable = batch_window_values(np.sort(X, axis=1), ms)
+    X.sort(axis=1)
+    V, computable = batch_window_values(X, ms)
     col, ok = _select_rows(V, computable, loglik, relax)
     best = np.where(ok, V[np.arange(size), col], -np.inf)
     with np.errstate(invalid="ignore"):

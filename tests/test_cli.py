@@ -155,6 +155,21 @@ def test_rate_beyond_the_float_range_exits_seven(tmp_path, capsys):
         assert code == 7 and "did not converge" in err
 
 
+def test_weibull_fit_of_a_tiny_shape_is_not_a_parameter_error(tmp_path, capsys):
+    # the fitted scale underflowed to 0 and the test exited 4, blaming
+    # parameters that were never given; it is a fit, and the constraint
+    # (exit 5) or relax (exit 0) decides
+    path = datafile(tmp_path, np.r_[1e-300 * np.arange(1, 30), 1e300])
+    code, _, err = run(capsys, "test", path, "--family", "dweibull",
+                       "--simulate-p", "false")
+    assert code == 5 and "null bound" in err
+    jpath = tmp_path / "report.json"
+    code, _, _ = run(capsys, "test", path, "--family", "dweibull",
+                     "--simulate-p", "false", "--relax", "--json", str(jpath))
+    params = json.loads(jpath.read_text())["estimate"]["params"]
+    assert code == 0 and all(v > 0 for v in params.values())
+
+
 def test_invalid_thread_count_exits_four(tmp_path, capsys):
     x = np.random.default_rng(57).normal(size=40)
     path = datafile(tmp_path, x)

@@ -870,6 +870,51 @@ def test_weibull_fit_of_values_spanning_the_float_range():
         assert np.all(mean_loglik_rows("weibull", X, P * [1.0, d]) < l)
 
 
+# a tiny shape: b = max x * exp(lw / a) underflows in exp(lw / a)
+TINY_SHAPE_ROWS = [np.r_[1e-300 * np.arange(1, 30), 1e300],
+                   np.array([1e-308] * 9 + [1e308])]
+
+
+@pytest.mark.parametrize("x", TINY_SHAPE_ROWS, ids=["1e-300..1e300", "1e-308x9"])
+def test_weibull_scale_of_a_tiny_shape_is_positive(x):
+    # the scale (mean x^a)^(1/a) is at least the geometric mean, so at
+    # least min x > 0, even where exp(lw / a) underflows
+    mpmath = pytest.importorskip("mpmath")
+    P, ok, _ = resolve_family("weibull").fit_rows(x[None, :])
+    (a, b), = P
+    assert ok[0] and a < 0.003 and b >= x.min()
+    with mpmath.workdps(40):
+        xs = [mpmath.mpf(float(v)) for v in x]
+        want = (sum(v ** a for v in xs) / len(xs)) ** (1 / mpmath.mpf(a))
+    assert b == pytest.approx(float(want), rel=1e-9)
+
+
+def _spanning_rows(fid, n, rng, count=400):
+    """Rows of values from 1e-308 to 1e308 (beta: inside (0, 1)), half
+    log-uniform over a random span, half in two clusters at its ends."""
+    lo, hi = np.sort(rng.uniform(-308, 308, (2, count, 1)), axis=0)
+    E = np.where(np.arange(count)[:, None] % 2,
+                 rng.uniform(lo, hi, (count, n)),
+                 np.where(rng.random((count, n)) < rng.random((count, 1)), hi, lo)
+                 + rng.normal(0.0, 1e-3, (count, n)))
+    if fid == "beta":
+        return np.minimum(10.0 ** (np.clip(E, -308, 308) / 2 - 154), 1 - 2 ** -53)
+    return 10.0 ** np.clip(E, -308, 308)
+
+
+@pytest.mark.parametrize("fid", ["gamma", "weibull", "beta", "fisher"])
+def test_iterative_fits_flag_ok_only_valid_parameters(fid):
+    # the family contract behind vs_test's failed-fit cause: a row that
+    # fit_rows flags ok has parameters that validate_params accepts
+    fam = resolve_family(fid)
+    rng = np.random.default_rng(19)
+    for n in (3, 5, 20, 60):
+        P, ok, ll = fam.fit_rows(_spanning_rows(fid, n, rng))
+        assert ok.sum() >= 20
+        assert fam.param_rows_ok(P[ok]).all()
+        np.testing.assert_array_equal(np.isnan(ll), ~ok)
+
+
 @pytest.mark.parametrize("n", [20, 60, 200])
 def test_fisher_fit_reaches_scipy_mle_or_has_no_finite_maximum(n):
     # A row that converges reaches scipy's maximum.  A row that fails has

@@ -18,6 +18,7 @@ from vsgof import (ParameterError, PowerScenario, candidate_windows,
                    edf_mc_p_value, edf_test, monte_carlo_p_value,
                    run_power_study, vs_test)
 from vsgof.cli import main
+from vsgof.distributions import resolve_family
 from vsgof.spacing import batch_window_values
 from vsgof.vstest import _select_rows, simulate_null_statistics
 
@@ -151,12 +152,64 @@ def _grouped_outputs():
     return out
 
 
-@pytest.mark.parametrize("block", [1, 2 ** 40])
+@pytest.mark.parametrize("block", [1, 3000, 2 ** 40])
 def test_block_grouping_changes_no_bit(uncached, monkeypatch, block):
-    # 1: one chunk per block; 2**40: every chunk of a call in one block
+    # 1: one row per tile; 3000: the 256-row chunks of n = 20 and 60 in
+    # tiles (of 43 and 41 rows at n = 60); 2**40: every chunk of a call in
+    # one block
     default = _grouped_outputs()
     monkeypatch.setattr(vsgof._mc, "BLOCK", block)
     assert _grouped_outputs() == default
+
+
+# parameters of every family, for the draws of the tiling tests
+TILE_PARAMS = {"uniform": (-1.0, 3.0), "normal": (0.5, 1.7),
+               "lognormal": (0.2, 0.8), "exponential": (0.7,),
+               "gamma": (2.5, 1.5), "weibull": (1.3, 2.0),
+               "pareto": (2.0, 1.5), "fisher": (4.0, 6.0),
+               "laplace": (-0.3, 1.2), "beta": (2.0, 3.0)}
+
+
+@pytest.mark.parametrize("how", ["sample", "sample_pit"])
+@pytest.mark.parametrize("fid", sorted(TILE_PARAMS))
+def test_tiles_from_one_generator_equal_the_chunk_draw(fid, how):
+    # null_map draws a chunk above BLOCK in tiles of rows, in order, from
+    # the chunk's one generator: their rows are the chunk's, bit for bit
+    fam = resolve_family(fid)
+    draw = getattr(fam, how)
+    p = fam.validate_params(TILE_PARAMS[fid])
+    child = np.random.SeedSequence(25).spawn(3)[2]
+    chunk = draw(p, (50, 13), np.random.default_rng(child))
+    rng = np.random.default_rng(child)
+    tiles = np.concatenate([draw(p, (rows, 13), rng) for rows in (7, 1, 30, 12)])
+    assert tiles.tobytes() == chunk.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 3000, 2 ** 14])
+def test_no_evaluation_sees_more_than_a_block(monkeypatch, block):
+    # every call of evaluate sees at most BLOCK values, or one row where a
+    # row is more, and the rows come back as the seeded chunks drew them
+    monkeypatch.setattr(vsgof._mc, "BLOCK", block)
+    fam = resolve_family("normal")
+    p = fam.validate_params((0.5, 1.7))
+    # 163 x 200 values: ceil(163 / 2) = 82 rows of 200 would be too many
+    for n, B, reps in [(20, 600, 3), (60, 600, 2), (200, 600, 1),
+                       (200, 300, 2), (200, 163, 1), (5000, 10, 1)]:
+        seen = []
+
+        def evaluate(X):
+            seen.append(X.size)
+            return X.sum(axis=1), X[:, 0]
+
+        sums, first = vsgof._mc.null_map(fam.sample, [p] * reps, n, B,
+                                         list(range(reps)), evaluate)
+        want = np.concatenate([
+            fam.sample(p, (size, n), np.random.default_rng(child))
+            for seed in range(reps)
+            for size, child in vsgof._mc.seed_chunks(seed, B)])
+        assert max(seen) <= max(block, n) and sum(seen) == reps * B * n
+        assert sums.tobytes() == want.sum(axis=1).tobytes()
+        assert first.tobytes() == want[:, 0].tobytes()
 
 
 # ---------------------------------------------------------------------------

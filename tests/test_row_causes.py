@@ -16,7 +16,7 @@ import pytest
 from vsgof import distributions as dist
 from vsgof import edf
 from vsgof.edf import edf_test
-from vsgof.errors import (BAD_FIT, CAUSES, CONSTRAINT, DEGENERATE_PIT, DISCARDED,
+from vsgof.errors import (CAUSES, CONSTRAINT, DEGENERATE_PIT, DISCARDED,
                           FAILED_FIT, INVALID_DATA, OK, OUTSIDE_FIT,
                           OUTSIDE_SUPPORT, TIES, VsgofError)
 from vsgof.vstest import TestOptions, _p_value_rows, vs_test
@@ -104,8 +104,6 @@ def test_each_row_equals_its_single_test(label, family, how, expected):
 
 
 def test_the_matrix_reaches_every_cause():
-    # but invalid fitted parameters: no row here has a fit that succeeds
-    # with parameters outside the parameter space
     seen = {int(c) for _, family, how, _ in PATHS
             for c in _rows(family, how)[1]}
-    assert seen == {OK, *CAUSES} - {BAD_FIT}
+    assert seen == {OK, *CAUSES}

@@ -364,6 +364,67 @@ def test_batch_window_values_property_equals_gather(B, n, seed, ties, scale):
     assert_matches_gather(rows, np.arange(1, max_valid_window(n) + 1))
 
 
+# ---------------------------------------------------------------------------
+# batch_window_values against one row and one window at a time, bit for bit
+
+
+def per_row_window_values(sorted_rows, windows):
+    """One row and one window at a time: the mean of the logs of the
+    clamped spacings plus log(n / 2m), computable where that mean is above
+    -inf.  Its 1-D mean sums in numpy's pairwise order, as the row sums of
+    ``batch_window_values`` must."""
+    S = np.asarray(sorted_rows, dtype=float)
+    B, n = S.shape
+    values = np.full((B, len(windows)), np.nan)
+    computable = np.zeros((B, len(windows)), dtype=bool)
+    idx = np.arange(n)
+    for i in range(B):
+        for j, m in enumerate(windows):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                gaps = (S[i, np.minimum(idx + m, n - 1)]
+                        - S[i, np.maximum(idx - m, 0)])
+                mean = np.log(gaps).mean()
+            if mean > -np.inf:
+                computable[i, j] = True
+                values[i, j] = np.log(n / (2.0 * m)) + mean
+    return values, computable
+
+
+def _kernel_row(kind, n, rng):
+    """A sorted row of magnitude up to 1e±300, with ties, NaN or ±inf."""
+    row = np.sort(rng.standard_normal(n)) * 10.0 ** rng.uniform(-300, 300)
+    at = int(rng.integers(0, n))
+    if kind == "ties":
+        row[at:at + int(rng.integers(2, 5))] = row[at]
+    elif kind == "nan":
+        row[at] = np.nan
+    elif kind == "-inf":
+        row[0] = -np.inf
+    elif kind == "+inf":
+        row[-1] = np.inf
+    elif kind == "both inf":
+        row[0], row[-1] = -np.inf, np.inf
+    elif kind == "huge":  # spacings beyond the float range
+        row = np.linspace(-1.0, 1.0, n) * 1e308
+    return row
+
+
+@pytest.mark.parametrize("n", [3, 4, 9, 20, 201])
+@pytest.mark.parametrize("B", [1, 13, 256])
+def test_batch_window_values_equals_one_row_at_a_time(B, n):
+    rng = np.random.default_rng(7 * B + n)
+    kinds = ("plain", "ties", "nan", "-inf", "+inf", "both inf", "huge")
+    rows = np.array([_kernel_row(kinds[i % len(kinds)], n, rng)
+                     for i in range(B)])
+    top = max_valid_window(n)
+    for ms in (np.arange(1, top + 1), np.array([top]), np.array([top, 1])):
+        values, computable = batch_window_values(rows, ms)
+        ref_values, ref_computable = per_row_window_values(rows, ms)
+        assert computable.tobytes() == ref_computable.tobytes()
+        assert np.array_equal(values, ref_values, equal_nan=True)
+        assert values.tobytes() == ref_values.tobytes()
+
+
 @pytest.mark.parametrize("n, ms", [(10, [0]), (10, [1, 0]), (10, [5]),
                                    (10, [2, 7]), (3, [2]), (4, [-1])])
 def test_batch_window_values_rejects_invalid_windows(n, ms):

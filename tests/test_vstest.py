@@ -502,6 +502,37 @@ def test_uniform_null_wider_than_the_float_range():
     assert wide.p_value == 0.0  # the data fill a tenth of the range
 
 
+def test_weibull_fit_of_a_tiny_shape_is_a_test():
+    # the fitted scale, 4.1e-207, used to underflow to 0: the single test
+    # raised a ParameterError about parameters the user never gave
+    x = np.r_[1e-300 * np.arange(1, 30), 1e300]
+    report = vs_test(x, "weibull", relax=True, simulate_p_value=False)
+    assert np.all(report.estimate.params > 0)
+    assert np.isfinite(report.statistic)
+    with pytest.raises(ConstraintError):
+        vs_test(x, "weibull", simulate_p_value=False)
+
+
+def test_invalid_fitted_parameters_are_a_failed_fit(monkeypatch):
+    # a fit flagged ok with parameters outside the parameter space is a
+    # failed fit, never an error about parameters the user did not give
+    fam = dist.resolve_family("gamma")
+    fit_rows = fam.fit_rows
+
+    def negative_rate(X):
+        P, ok, loglik = fit_rows(X)
+        P[:, 1] = -P[:, 1]
+        return P, ok, loglik
+
+    monkeypatch.setattr(fam, "fit_rows", negative_rate)
+    x = np.random.default_rng(31).gamma(2.0, 1.5, size=(2, 30))
+    with pytest.raises(EstimationError, match="did not converge"):
+        vs_test(x[0], "gamma", simulate_p_value=False)
+    p, cause = _p_value_rows(fam, x, np.array([1, 2]),
+                             TestOptions(simulate_p_value=False))
+    assert cause.tolist() == [FAILED_FIT] * 2 and np.isnan(p).all()
+
+
 def test_monte_carlo_all_replicates_discarded():
     x = np.array(
         [7.284056079172491e-05, 0.0057410230065873605, 0.058183585655950006,
