@@ -9,17 +9,25 @@ matrix is drawn in chunks of ``CHUNK`` = 256 rows from its own seed, as
 replicates.  The caller names the draw: ``vs_test`` draws the family's
 values (``sample``) and ``edf_test`` their PIT (``sample_pit``, for an
 inverse-CDF family the uniforms ``sample`` transforms); both take the
-same numbers from the generator.  No evaluation sees more than ``BLOCK``
-values (one row, where a row is more), so that its temporaries stay small
-enough for the allocator to reuse instead of mapping and faulting them in
-afresh: consecutive chunks form blocks of at most ``BLOCK`` values, each
-evaluated at once, and a chunk of more is drawn and evaluated in even
-tiles of rows, in order, from its one generator (which fills arrays
-sequentially, so the tiles hold the chunk's draw).  Blocks and tiled
-chunks run serially or in one thread pool and come back in order.  Every
-evaluation is row-wise, a row's result never depending on the rows
-stacked with it, so neither the grouping, the tiling nor the thread count
-changes a bit; the seed and the chunk size are the contract.
+same numbers from the generator.  An evaluation sees at most the
+caller's ``budget`` of values (one row, where a row is more): ``BLOCK`` by
+default, so that its temporaries stay small enough for the allocator to
+reuse instead of mapping and faulting them in afresh.  A vs evaluation
+runs Python that holds the GIL for each candidate window and each Newton
+step of a refit, the same for 64 rows as for 256, so its caller grants it
+``BLOCK`` values per window and three more for a refit; at n = 200 a
+256-row chunk is then evaluated whole.  Consecutive chunks form blocks of
+at most ``BLOCK`` values, each evaluated at once, and a chunk of more
+than the budget is drawn and evaluated in even tiles of rows, in order,
+from its one generator (which fills arrays sequentially, so the tiles
+hold the chunk's draw).  Blocks and tiled chunks run serially, or shared
+by the calling thread and a pool of ``threads - 1`` workers that the
+process keeps from the first call that needs it (a forked child builds
+its own), and come back in order; a pool worker never submits to a pool,
+so its nested calls run serially.  Every evaluation is row-wise, a row's
+result never depending on the rows stacked with it, so neither the
+grouping, the tiling nor the thread count changes a bit; the seed and the
+chunk size are the contract.
 ``seeded_map`` runs power cells' chunks of ``CELL_CHUNK`` = 50 replicates.
 
 Null references take two paths on purpose.  A single test's depends on
@@ -32,9 +40,10 @@ skip the cache and stack their references in one ``null_map`` call.
 
 from __future__ import annotations
 
+import os
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -42,8 +51,11 @@ from .errors import ParameterError
 
 CHUNK = 256  # replicates per chunk of the vs and EDF null simulations
 CELL_CHUNK = 50  # replicates per chunk of a power-study cell
-# null values (rows x n) that one evaluation sees at most, 128 KiB: the
-# chunks of a block, or a tile of a larger chunk (one row if a row is more)
+# null values (rows x n), 128 KiB, that the chunks grouped in one block
+# hold at most, and that one evaluation sees at most unless its caller
+# grants a larger budget (the vs nulls, by their windows and refit);
+# raising either bound for every evaluation was measured slower on the EDF
+# nulls and power cells, whose temporaries the allocator then faults in
 BLOCK = 2 ** 14
 # 8-byte values (512 KiB) the null-reference cache keeps, its keys' arrays
 # included; a larger reference serves its own call but is not kept
@@ -51,6 +63,20 @@ REFERENCE_VALUES = 2 ** 16
 _references: OrderedDict = OrderedDict()  # key -> (ref, total, cost)
 _stored = 0  # the summed cost of the cached references
 _lock = threading.Lock()
+_pools: dict = {}  # workers -> the ThreadPoolExecutor kept for that count
+_worker = threading.local()  # ``busy`` is set in the pools' own threads
+
+
+def _after_fork_in_child() -> None:
+    """A forked child has none of its parent's pool threads, and no thread
+    that could release the lock: it starts afresh."""
+    global _lock
+    _lock = threading.Lock()
+    _pools.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def check_count(k, name: str) -> int:
@@ -77,14 +103,18 @@ def seed_chunks(seed, total: int, chunk: int = CHUNK
                 ) -> list[tuple[int, np.random.SeedSequence]]:
     """The ``(size, child)`` chunks of a job of ``total`` replicates, in
     order; ``seed`` is an int or a ``SeedSequence``."""
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(check_seed(seed))
     sizes = [chunk] * (total // chunk) + ([total % chunk] if total % chunk else [])
-    return list(zip(sizes, seed.spawn(len(sizes))))
+    if isinstance(seed, np.random.SeedSequence):
+        return list(zip(sizes, seed.spawn(len(sizes))))
+    # the children SeedSequence(seed).spawn would give, built directly
+    seed = check_seed(seed)
+    return [(size, np.random.SeedSequence(seed, spawn_key=(k,)))
+            for k, size in enumerate(sizes)]
 
 
 def null_map(draw, params_rows, n: int, B: int, seeds, evaluate, *,
-             threads: int = 1) -> tuple[np.ndarray, ...]:
+             threads: int = 1, budget: int | None = None
+             ) -> tuple[np.ndarray, ...]:
     """``evaluate`` over the (B, n) null matrices of several replicates.
 
     Replicate r's matrix is the one a test with null parameters
@@ -94,11 +124,13 @@ def null_map(draw, params_rows, n: int, B: int, seeds, evaluate, *,
     stacked rows, a fresh array it may overwrite, to a tuple of per-row
     arrays; each array comes back with the rows of every replicate in
     order (empty for no replicate).  The chunks go to blocks of at most
-    ``BLOCK`` values, or a larger chunk to tiles, and those to the thread
-    pool; like the grouping, the tiling is not part of the contract.
+    ``BLOCK`` values, or a larger chunk to tiles of at most ``budget``
+    values (``BLOCK`` if None), and those to the thread pool; like the
+    grouping, the tiling is not part of the contract.
     """
     B = check_count(B, "B")
     threads = check_count(threads, "threads")
+    budget = BLOCK if budget is None else budget
     blocks, values = [], BLOCK
     for params, seed in zip(params_rows, seeds):
         for size, child in seed_chunks(seed, B):
@@ -115,12 +147,12 @@ def null_map(draw, params_rows, n: int, B: int, seeds, evaluate, *,
             return [evaluate(np.concatenate(
                 [draw(params, (size, n), np.random.default_rng(child))
                  for params, size, child in block] or [np.empty((0, n))]))]
-        # one chunk: the fewest even tiles of at most BLOCK values (one row
-        # if a row is more), drawn in order from the chunk's one generator,
-        # which fills arrays sequentially
+        # one chunk: the fewest even tiles of at most budget values (one
+        # row if a row is more), drawn in order from the chunk's one
+        # generator, which fills arrays sequentially
         (params, size, child), = block
         rng = np.random.default_rng(child)
-        tiles = -(-size // max(BLOCK // n, 1))
+        tiles = -(-size // max(budget // n, 1))
         rows = -(-size // tiles)
         return [evaluate(draw(params, (min(rows, size - i), n), rng))
                 for i in range(0, size, rows)]
@@ -131,11 +163,44 @@ def null_map(draw, params_rows, n: int, B: int, seeds, evaluate, *,
 
 
 def _run_all(fn, items: list, threads: int) -> list:
-    """``fn`` over ``items``, in order, serially or in one thread pool."""
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+    """``fn`` over ``items``, in order: serially, or shared by the calling
+    thread and the kept pool of ``threads - 1`` workers, each taking the
+    next item as it finishes one.  The caller works rather than waits,
+    which spares a thread's wake-ups and its allocator arena.  A pool's
+    own worker runs its items serially: were it to wait on a pool whose
+    workers all wait likewise, none would run."""
+    if threads == 1 or len(items) < 2 or getattr(_worker, "busy", False):
+        return [fn(item) for item in items]
+    out, todo = [None] * len(items), iter(range(len(items)))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            out[i] = fn(items[i])
+
+    helpers = [_pool(threads - 1).submit(work)
+               for _ in range(min(threads, len(items)) - 1)]
+    try:
+        work()
+    finally:
+        wait(helpers)  # after an error too: they run the items left
+    for helper in helpers:
+        helper.result()  # raise a helper's error
+    return out
+
+
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process's pool of ``workers`` threads, built on first use; its
+    threads start as work arrives and live as long as the process."""
+    with _lock:
+        if workers not in _pools:
+            _pools[workers] = ThreadPoolExecutor(
+                workers, initializer=setattr, initargs=(_worker, "busy", True))
+        return _pools[workers]
 
 
 def seeded_map(jobs, total: int, *, threads: int = 1) -> list[list]:

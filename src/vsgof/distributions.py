@@ -289,7 +289,8 @@ class _Family:
     def sample_pit(self, params, size, rng: np.random.Generator) -> np.ndarray:
         """The uniforms U of an inverse-CDF draw Q(U), the PIT of the draw.
         Generator.random() is [0, 1): a 0 is nudged into (0, 1)."""
-        return np.maximum(rng.random(size), _TINY)
+        U = rng.random(size)
+        return np.maximum(U, _TINY, out=U)
 
     def sample(self, params, size, rng: np.random.Generator) -> np.ndarray:
         """Inverse-CDF draw; families with a faster exact sampler override it

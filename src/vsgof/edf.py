@@ -78,23 +78,29 @@ def _degenerate_pit(U: np.ndarray) -> np.ndarray:
 def _ks_rows(U: np.ndarray) -> np.ndarray:
     n = U.shape[-1]
     i = np.arange(1, n + 1, dtype=float)
-    d_plus = (i / n - U).max(axis=-1)
-    d_minus = (U - (i - 1.0) / n).max(axis=-1)
-    return np.maximum(d_plus, d_minus)
+    # D+ = i/n - u_(i) and D- = u_(i) - (i-1)/n side by side, one row max
+    D = np.empty(U.shape[:-1] + (2 * n,))
+    np.subtract(i / n, U, out=D[..., :n])
+    np.subtract(U, (i - 1.0) / n, out=D[..., n:])
+    return D.max(axis=-1)
 
 
 def _cvm_rows(U: np.ndarray) -> np.ndarray:
     n = U.shape[-1]
     i = np.arange(1, n + 1, dtype=float)
-    return 1.0 / (12.0 * n) + ((U - (2.0 * i - 1.0) / (2.0 * n)) ** 2).sum(axis=-1)
+    D = U - (2.0 * i - 1.0) / (2.0 * n)
+    return 1.0 / (12.0 * n) + np.square(D, out=D).sum(axis=-1)
 
 
 def _ad_rows(U: np.ndarray) -> np.ndarray:
     n = U.shape[-1]
-    Uc = np.clip(U, _LOG_CLAMP, 1.0 - _LOG_CLAMP)
-    w = 2.0 * np.arange(1, n + 1, dtype=float) - 1.0
-    inner = np.log(Uc) + np.log1p(-Uc[..., ::-1])
-    return -n - (w * inner).sum(axis=-1) / n
+    L = np.clip(U, _LOG_CLAMP, 1.0 - _LOG_CLAMP)
+    # log1p(-u_(n+1-i)), then log u_(i) + it, weighted by 2i - 1
+    R = np.negative(L[..., ::-1])
+    np.log1p(R, out=R)
+    R += np.log(L, out=L)
+    R *= 2.0 * np.arange(1, n + 1, dtype=float) - 1.0
+    return -n - R.sum(axis=-1) / n
 
 
 _KERNELS = {"ks": _ks_rows, "cvm": _cvm_rows, "ad": _ad_rows}

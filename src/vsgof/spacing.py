@@ -81,10 +81,10 @@ def batch_window_values(sorted_rows: np.ndarray, windows: np.ndarray) -> tuple[n
     Each window then costs three ufunc calls over a single (B, n) buffer
     reused across windows: a subtraction, an in-place log and a row sum
     into a (windows, B) table.  The means, the flags and the values are
-    formed once, after the loop; the sum divided by n is the bits of the
-    row mean (numpy's pairwise order over each row).  A zero spacing makes
-    the row mean -inf and a NaN spacing makes it NaN, so ``mean > -inf``
-    is the computability flag.
+    formed once, after the loop, in that table; the sum divided by n is
+    the bits of the row mean (numpy's pairwise order over each row).  A
+    zero spacing makes the row mean -inf and a NaN spacing makes it NaN,
+    so ``mean > -inf`` is the computability flag.
     """
     S = np.asarray(sorted_rows, dtype=float)
     if S.ndim == 1:
@@ -108,9 +108,11 @@ def batch_window_values(sorted_rows: np.ndarray, windows: np.ndarray) -> tuple[n
                         out=gaps)
             np.log(gaps, out=gaps)
             np.add.reduce(gaps, axis=1, out=sums[j])
-        mean = (sums / n).T  # the bits of gaps.mean(axis=1), window by window
-        computable = mean > -np.inf
-        values = np.where(computable, np.log(n / (2.0 * ms)) + mean, np.nan)
+        sums /= n  # the bits of gaps.mean(axis=1), window by window
+        computable = (sums > -np.inf).T
+        values = sums.T
+        values += np.log(n / (2.0 * ms))
+        values[~computable] = np.nan
     return values, computable
 
 

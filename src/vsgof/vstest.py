@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, psi
 
-from . import distributions as dist
+from . import _mc, distributions as dist
 from ._mc import check_count, check_seed, null_map, null_reference
 from .errors import (CONSTRAINT, DISCARDED, FAILED_FIT, INVALID_DATA, OK,
                      OUTSIDE_FIT, OUTSIDE_SUPPORT, TIES, DataError,
@@ -406,6 +406,15 @@ def _null_rows(fam, params: np.ndarray | None, X: np.ndarray, refit: bool,
     return stats, ms[col], ok
 
 
+def _budget(ms: np.ndarray, refit: bool) -> int:
+    """The values one null evaluation of :func:`_null_rows` may see
+    (``null_map``'s ``budget``): ``_mc.BLOCK`` per candidate window and
+    three more for a refit.  Each window and each Newton step runs Python
+    that holds the GIL whatever the rows, so larger tiles spread it over
+    more of them; at n = 200 a 256-row chunk is evaluated whole."""
+    return _mc.BLOCK * (len(ms) + 3 * refit)
+
+
 def simulate_null_statistics(family: str, params, n: int, B: int, *,
                              refit: bool, ms: np.ndarray, relax: bool = False,
                              seed: int, threads: int = 1
@@ -421,7 +430,7 @@ def simulate_null_statistics(family: str, params, n: int, B: int, *,
     p = fam.validate_params(params)
     return null_map(fam.sample, [p], n, B, [seed],
                     lambda X: _null_rows(fam, p, X, refit, ms, relax),
-                    threads=threads)
+                    threads=threads, budget=_budget(ms, refit))
 
 
 def monte_carlo_p_value(observed: float, family: str, params, n: int, *,
@@ -476,7 +485,8 @@ def _p_value_rows(fam, X: np.ndarray, seeds: np.ndarray, opts: TestOptions
     params = None if refit else P[0]
     stats, _, ok = null_map(
         fam.sample, P[rows], n, opts.B, seeds[rows],
-        lambda X: _null_rows(fam, params, X, refit, ms, opts.relax))
+        lambda X: _null_rows(fam, params, X, refit, ms, opts.relax),
+        budget=_budget(ms, refit))
     # the share of each row's kept null statistics strictly above its
     # observed one; NaN (0 / 0) where every null replicate was discarded
     stats, ok = stats.reshape(-1, opts.B), ok.reshape(-1, opts.B)

@@ -9,7 +9,11 @@ import scipy.stats as st
 from vsgof import distributions as dist
 from vsgof._mc import seed_chunks
 from vsgof.edf import (
+    _LOG_CLAMP,
     EdfTestReport,
+    _ad_rows,
+    _cvm_rows,
+    _ks_rows,
     _p_value_rows,
     _resolve_test,
     ad_statistic,
@@ -84,6 +88,36 @@ def test_ad_matches_plain_loop_oracle():
         u = sorted(st.weibull_min(1.3, scale=2.0).cdf(x))
         got = ad_statistic(x, "weibull", (1.3, 2.0))
         assert got == pytest.approx(ad_oracle(u), abs=1e-11)
+
+
+# the kernels' formulas written out as three whole-array expressions each
+ROW_FORMULAS = {
+    _ks_rows: lambda U, n, i: np.maximum((i / n - U).max(axis=-1),
+                                         (U - (i - 1.0) / n).max(axis=-1)),
+    _cvm_rows: lambda U, n, i: 1.0 / (12.0 * n) + (
+        (U - (2.0 * i - 1.0) / (2.0 * n)) ** 2).sum(axis=-1),
+    _ad_rows: lambda U, n, i: -n - ((2.0 * i - 1.0) * (
+        np.log(np.clip(U, _LOG_CLAMP, 1.0 - _LOG_CLAMP))
+        + np.log1p(-np.clip(U, _LOG_CLAMP, 1.0 - _LOG_CLAMP)[..., ::-1])
+    )).sum(axis=-1) / n,
+}
+
+
+@pytest.mark.parametrize("kernel", list(ROW_FORMULAS), ids=lambda k: k.__name__)
+def test_kernels_keep_the_bits_of_their_formulas(kernel):
+    # sorted PIT rows, some with NaN, exact 0 and 1, ties or values within
+    # an ulp of 0 and 1, at n = 2 to 150
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        n = int(rng.integers(2, 151))
+        U = rng.random((int(rng.integers(1, 9)), n))
+        U[rng.random(U.shape) < 0.05] = rng.choice(
+            [0.0, 1.0, 5e-324, 1.0 - 2 ** -53, 0.5, np.nan])
+        U.sort(axis=-1)
+        i = np.arange(1, n + 1, dtype=float)
+        want, before = ROW_FORMULAS[kernel](U, n, i), U.tobytes()
+        assert kernel(U).tobytes() == want.tobytes()
+        assert U.tobytes() == before  # the input is left as it was
 
 
 def test_statistics_depend_only_on_pit():

@@ -7,6 +7,10 @@ the window rule into ``vstest._select_rows``.  They are compared with
 """
 
 import math
+import os
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -14,13 +18,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import select_window_oracle
 import vsgof._mc
-from vsgof import (ParameterError, PowerScenario, candidate_windows,
-                   edf_mc_p_value, edf_test, monte_carlo_p_value,
-                   run_power_study, vs_test)
+import vsgof.vstest
+from vsgof import (ParameterError, PowerScenario, TestOptions,
+                   candidate_windows, edf_mc_p_value, edf_test,
+                   monte_carlo_p_value, run_power_study, vs_test)
 from vsgof.cli import main
 from vsgof.distributions import resolve_family
 from vsgof.spacing import batch_window_values
-from vsgof.vstest import _select_rows, simulate_null_statistics
+from vsgof.vstest import (_p_value_rows, _select_rows,
+                          simulate_null_statistics)
 
 
 def _data(kind, seed):
@@ -210,6 +216,183 @@ def test_no_evaluation_sees_more_than_a_block(monkeypatch, block):
         assert max(seen) <= max(block, n) and sum(seen) == reps * B * n
         assert sums.tobytes() == want.sum(axis=1).tobytes()
         assert first.tobytes() == want[:, 0].tobytes()
+
+
+def _vs_budget_outputs():
+    """vs null outputs at n = 200, whose 256-row chunks (51,200 values)
+    exceed BLOCK: every window (simple normal) and the default windows
+    with a refit (composite gamma), one test and two rows of a power
+    cell."""
+    out, rng = [], np.random.default_rng(414)
+    for family, params, extend, draw in [
+            ("normal", (0.0, 1.0), True, rng.standard_normal),
+            ("gamma", None, False, lambda size: rng.gamma(2.5, 1.0, size))]:
+        x, X = draw(200), draw((2, 200))
+        ms = candidate_windows(200, 1.0 / 12.0, extend)
+        null = simulate_null_statistics(
+            family, (2.5, 1.0) if params is None else params, 200, 600,
+            refit=params is None, ms=ms, seed=26)
+        out.append([a.tobytes() for a in null])
+        r = vs_test(x, family, fixed_params=params, extend=extend, B=600,
+                    seed=27, simulate_p_value=True, threads=2)
+        out.append((r.p_value, r.ignored_replicates))
+        p, cause = _p_value_rows(
+            resolve_family(family), X, np.array([28, 29]),
+            TestOptions(fixed_params=params, extend=extend, B=300,
+                        simulate_p_value=True))
+        out.append((p.tobytes(), cause.tobytes()))
+    return out
+
+
+def test_vs_budget_changes_no_bit(uncached, monkeypatch):
+    # four tiles of 64 rows per chunk, two of 128, and whole chunks
+    default = _vs_budget_outputs()
+    for budget in (vsgof._mc.BLOCK, 2 * vsgof._mc.BLOCK, 256 * 200):
+        monkeypatch.setattr(vsgof.vstest, "_budget", lambda ms, refit: budget)
+        assert _vs_budget_outputs() == default
+
+
+def test_no_vs_evaluation_sees_more_than_its_budget(uncached, monkeypatch):
+    # the budget reaches null_map from both vs null paths, and tiles it
+    budgets, seen = [], []
+    null_map, null_rows = vsgof.vstest.null_map, vsgof.vstest._null_rows
+
+    def recording_null_map(*args, budget, **kwargs):
+        budgets.append(budget)
+        return null_map(*args, budget=budget, **kwargs)
+
+    def recording_null_rows(fam, params, X, *args):
+        seen.append((budgets[-1], X.size))
+        return null_rows(fam, params, X, *args)
+
+    monkeypatch.setattr(vsgof.vstest, "null_map", recording_null_map)
+    monkeypatch.setattr(vsgof.vstest, "_null_rows", recording_null_rows)
+    _vs_budget_outputs()
+    assert len(budgets) == 6
+    assert all(size <= budget for budget, size in seen)
+    # every window, or a refit: a 256-row chunk is one evaluation
+    assert max(size for _, size in seen) == 256 * 200
+    # a few windows and no refit (a simple gamma null): 2 x 128 rows
+    seen.clear()
+    r = vs_test(np.random.default_rng(416).gamma(2.5, 1.0, size=200),
+                "gamma", fixed_params=(2.5, 1.0), B=256, seed=30,
+                simulate_p_value=True)
+    assert budgets[-1] == len(r.window_scan.windows) * vsgof._mc.BLOCK
+    assert [size for _, size in seen] == [128 * 200] * 2
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 63 - 1])
+def test_seed_chunks_are_the_spawned_children(seed, k):
+    # the children of an int seed are built directly, with the state
+    # SeedSequence(seed).spawn would give them
+    chunks = vsgof._mc.seed_chunks(seed, (k - 1) * 256 + 7)
+    assert [size for size, _ in chunks] == [256] * (k - 1) + [7]
+    for (_, child), spawned in zip(chunks, np.random.SeedSequence(seed).spawn(k),
+                                   strict=True):
+        assert (child.generate_state(8).tobytes()
+                == spawned.generate_state(8).tobytes())
+
+
+# ---------------------------------------------------------------------------
+# the kept thread pools
+
+
+@pytest.fixture
+def fresh_pools(monkeypatch):
+    """No pool kept from earlier tests; the pools built here are shut
+    down after the test."""
+    pools = {}
+    monkeypatch.setattr(vsgof._mc, "_pools", pools)
+    yield pools
+    for pool in pools.values():
+        pool.shutdown()
+
+
+def _normal_null(threads, evaluate=lambda X: (X.sum(axis=1),), B=3000):
+    # n = 20: 12 chunks, grouped three to a block, so four pool tasks
+    fam = resolve_family("normal")
+    return vsgof._mc.null_map(fam.sample, [fam.validate_params((0.0, 1.0))],
+                              20, B, [31], evaluate, threads=threads)[0]
+
+
+def test_calls_reuse_one_pool(fresh_pools, monkeypatch):
+    built = []
+
+    class Counting(vsgof._mc.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(vsgof._mc, "ThreadPoolExecutor", Counting)
+    one = _normal_null(1)
+    assert _normal_null(2).tobytes() == one.tobytes()
+    assert _normal_null(2).tobytes() == one.tobytes()
+    # threads=2: the caller and one pool worker
+    assert len(built) == 1 and fresh_pools == {1: built[0]}
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_no_more_than_threads_evaluations_at_once(fresh_pools, threads):
+    lock, running, most, where = threading.Lock(), [0], [0], set()
+
+    def evaluate(X):
+        with lock:
+            running[0] += 1
+            most[0] = max(most[0], running[0])
+            where.add(threading.get_ident())
+        time.sleep(0.01)
+        with lock:
+            running[0] -= 1
+        return (X.sum(axis=1),)
+
+    assert (_normal_null(threads, evaluate, B=6000).tobytes()
+            == _normal_null(1, B=6000).tobytes())
+    assert 1 <= most[0] <= threads
+    if threads == 1:  # serially, in the calling thread
+        assert where == {threading.get_ident()}
+
+
+def test_a_pool_worker_runs_nested_calls_serially(fresh_pools):
+    # every worker of the pool would wait on a pool whose workers all wait
+    want, got = _normal_null(1), []
+
+    def evaluate(X):
+        got.append(_normal_null(2))
+        return (X.sum(axis=1),)
+
+    caller = threading.Thread(target=_normal_null, args=(2, evaluate),
+                              daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert len(got) == 4 and all(g.tobytes() == want.tobytes() for g in got)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_builds_its_own_pool(fresh_pools):
+    # the parent's pool threads do not exist in a forked child; a child
+    # that submitted to its inherited pool would wait forever
+    want = _normal_null(2)
+    assert 1 in fresh_pools
+    pid = os.fork()
+    if pid == 0:  # the child: never return into the test runner
+        code = 1
+        try:
+            code = 0 if _normal_null(2).tobytes() == want.tobytes() else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.05)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child did not finish within 60 s")
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
 
 
 # ---------------------------------------------------------------------------
