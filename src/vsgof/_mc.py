@@ -13,21 +13,22 @@ same numbers from the generator.  An evaluation sees at most the
 caller's ``budget`` of values (one row, where a row is more): ``BLOCK`` by
 default, so that its temporaries stay small enough for the allocator to
 reuse instead of mapping and faulting them in afresh.  A vs evaluation
-runs Python that holds the GIL for each candidate window and each Newton
-step of a refit, the same for 64 rows as for 256, so its caller grants it
-``BLOCK`` values per window and three more for a refit; at n = 200 a
-256-row chunk is then evaluated whole.  Consecutive chunks form blocks of
-at most ``BLOCK`` values, each evaluated at once, and a chunk of more
-than the budget is drawn and evaluated in even tiles of rows, in order,
-from its one generator (which fills arrays sequentially, so the tiles
-hold the chunk's draw).  Blocks and tiled chunks run serially, or shared
-by the calling thread and a pool of ``threads - 1`` workers that the
-process keeps from the first call that needs it (a forked child builds
-its own), and come back in order; a pool worker never submits to a pool,
-so its nested calls run serially.  Every evaluation is row-wise, a row's
-result never depending on the rows stacked with it, so neither the
-grouping, the tiling nor the thread count changes a bit; the seed and the
-chunk size are the contract.
+runs Python that holds the GIL for each candidate window, the same for
+64 rows as for 256, so its caller grants it ``BLOCK`` values per window
+up to ``MAX_BUDGET`` = 4 · ``BLOCK``, which bounds its temporaries at any
+n: at n = 200 a 256-row chunk with every window is evaluated whole.
+Consecutive chunks form blocks of at most ``BLOCK`` values, each
+evaluated at once, and a chunk of more than the budget is drawn and
+evaluated in even tiles of rows, in order, from its one generator (which
+fills arrays sequentially, so the tiles hold the chunk's draw).  Blocks
+and tiled chunks run serially, or shared by the calling thread and a
+pool of ``threads - 1`` workers that the process keeps from the first
+call that needs it (a forked child builds its own), and come back in
+order, a failure raised as a serial run raises it; a pool worker never
+submits to a pool, so its nested calls run serially.  Every evaluation
+is row-wise, a row's result never depending on the rows stacked with it,
+so neither the grouping, the tiling nor the thread count changes a bit;
+the seed and the chunk size are the contract.
 ``seeded_map`` runs power cells' chunks of ``CELL_CHUNK`` = 50 replicates.
 
 Null references take two paths on purpose.  A single test's depends on
@@ -43,7 +44,7 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -53,10 +54,13 @@ CHUNK = 256  # replicates per chunk of the vs and EDF null simulations
 CELL_CHUNK = 50  # replicates per chunk of a power-study cell
 # null values (rows x n), 128 KiB, that the chunks grouped in one block
 # hold at most, and that one evaluation sees at most unless its caller
-# grants a larger budget (the vs nulls, by their windows and refit);
-# raising either bound for every evaluation was measured slower on the EDF
-# nulls and power cells, whose temporaries the allocator then faults in
+# grants a larger budget; raising either bound for every evaluation was
+# measured slower on the EDF nulls and power cells, whose temporaries the
+# allocator then faults in
 BLOCK = 2 ** 14
+# the most values (512 KiB) a vs null evaluation sees, whatever its
+# windows, so that its temporaries stay bounded at any n
+MAX_BUDGET = 4 * BLOCK
 # 8-byte values (512 KiB) the null-reference cache keeps, its keys' arrays
 # included; a larger reference serves its own call but is not kept
 REFERENCE_VALUES = 2 ** 16
@@ -166,30 +170,35 @@ def _run_all(fn, items: list, threads: int) -> list:
     """``fn`` over ``items``, in order: serially, or shared by the calling
     thread and the kept pool of ``threads - 1`` workers, each taking the
     next item as it finishes one.  The caller works rather than waits,
-    which spares a thread's wake-ups and its allocator arena.  A pool's
-    own worker runs its items serially: were it to wait on a pool whose
-    workers all wait likewise, none would run."""
+    which spares a thread's wake-ups and its allocator arena.  No item
+    starts once one has failed, and the first failure in order is raised,
+    as a serial run raises it.  A pool's own worker runs its items
+    serially: were it to wait on a pool whose workers all wait likewise,
+    none would run."""
     if threads == 1 or len(items) < 2 or getattr(_worker, "busy", False):
         return [fn(item) for item in items]
-    out, todo = [None] * len(items), iter(range(len(items)))
+    out, errors, todo = [None] * len(items), {}, iter(range(len(items)))
     lock = threading.Lock()
 
     def work():
         while True:
             with lock:
-                i = next(todo, None)
+                i = None if errors else next(todo, None)
             if i is None:
                 return
-            out[i] = fn(items[i])
+            try:
+                out[i] = fn(items[i])
+            except Exception as error:
+                with lock:
+                    errors[i] = error
 
     helpers = [_pool(threads - 1).submit(work)
                for _ in range(min(threads, len(items)) - 1)]
-    try:
-        work()
-    finally:
-        wait(helpers)  # after an error too: they run the items left
+    work()
     for helper in helpers:
-        helper.result()  # raise a helper's error
+        helper.result()  # waits, and raises what work() let through
+    if errors:  # items start in order: all before a failed one ran
+        raise errors[min(errors)]
     return out
 
 

@@ -406,13 +406,14 @@ def _null_rows(fam, params: np.ndarray | None, X: np.ndarray, refit: bool,
     return stats, ms[col], ok
 
 
-def _budget(ms: np.ndarray, refit: bool) -> int:
+def _budget(ms: np.ndarray) -> int:
     """The values one null evaluation of :func:`_null_rows` may see
-    (``null_map``'s ``budget``): ``_mc.BLOCK`` per candidate window and
-    three more for a refit.  Each window and each Newton step runs Python
-    that holds the GIL whatever the rows, so larger tiles spread it over
-    more of them; at n = 200 a 256-row chunk is evaluated whole."""
-    return _mc.BLOCK * (len(ms) + 3 * refit)
+    (``null_map``'s ``budget``): ``_mc.BLOCK`` per candidate window, up to
+    ``_mc.MAX_BUDGET``.  Each window runs Python that holds the GIL
+    whatever the rows, so larger tiles spread it over more of them; at
+    n = 200 a 256-row chunk is evaluated whole with every window (99), in
+    two tiles with the default three."""
+    return min(_mc.BLOCK * len(ms), _mc.MAX_BUDGET)
 
 
 def simulate_null_statistics(family: str, params, n: int, B: int, *,
@@ -430,7 +431,7 @@ def simulate_null_statistics(family: str, params, n: int, B: int, *,
     p = fam.validate_params(params)
     return null_map(fam.sample, [p], n, B, [seed],
                     lambda X: _null_rows(fam, p, X, refit, ms, relax),
-                    threads=threads, budget=_budget(ms, refit))
+                    threads=threads, budget=_budget(ms))
 
 
 def monte_carlo_p_value(observed: float, family: str, params, n: int, *,
@@ -486,7 +487,7 @@ def _p_value_rows(fam, X: np.ndarray, seeds: np.ndarray, opts: TestOptions
     stats, _, ok = null_map(
         fam.sample, P[rows], n, opts.B, seeds[rows],
         lambda X: _null_rows(fam, params, X, refit, ms, opts.relax),
-        budget=_budget(ms, refit))
+        budget=_budget(ms))
     # the share of each row's kept null statistics strictly above its
     # observed one; NaN (0 / 0) where every null replicate was discarded
     stats, ok = stats.reshape(-1, opts.B), ok.reshape(-1, opts.B)

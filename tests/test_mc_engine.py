@@ -248,12 +248,13 @@ def test_vs_budget_changes_no_bit(uncached, monkeypatch):
     # four tiles of 64 rows per chunk, two of 128, and whole chunks
     default = _vs_budget_outputs()
     for budget in (vsgof._mc.BLOCK, 2 * vsgof._mc.BLOCK, 256 * 200):
-        monkeypatch.setattr(vsgof.vstest, "_budget", lambda ms, refit: budget)
+        monkeypatch.setattr(vsgof.vstest, "_budget", lambda ms: budget)
         assert _vs_budget_outputs() == default
 
 
-def test_no_vs_evaluation_sees_more_than_its_budget(uncached, monkeypatch):
-    # the budget reaches null_map from both vs null paths, and tiles it
+def _recording(monkeypatch):
+    """The budgets the vs paths pass to ``null_map``, and the (budget,
+    size) of every ``_null_rows`` evaluation, as they are recorded."""
     budgets, seen = [], []
     null_map, null_rows = vsgof.vstest.null_map, vsgof.vstest._null_rows
 
@@ -267,18 +268,43 @@ def test_no_vs_evaluation_sees_more_than_its_budget(uncached, monkeypatch):
 
     monkeypatch.setattr(vsgof.vstest, "null_map", recording_null_map)
     monkeypatch.setattr(vsgof.vstest, "_null_rows", recording_null_rows)
+    return budgets, seen
+
+
+def test_no_vs_evaluation_sees_more_than_its_budget(uncached, monkeypatch):
+    # the budget reaches null_map from both vs null paths, and tiles it
+    budgets, seen = _recording(monkeypatch)
     _vs_budget_outputs()
     assert len(budgets) == 6
     assert all(size <= budget for budget, size in seen)
-    # every window, or a refit: a 256-row chunk is one evaluation
+    # every window: a 256-row chunk is one evaluation
     assert max(size for _, size in seen) == 256 * 200
-    # a few windows and no refit (a simple gamma null): 2 x 128 rows
+    # the default three windows (a simple gamma null): 2 x 128 rows
     seen.clear()
     r = vs_test(np.random.default_rng(416).gamma(2.5, 1.0, size=200),
                 "gamma", fixed_params=(2.5, 1.0), B=256, seed=30,
                 simulate_p_value=True)
     assert budgets[-1] == len(r.window_scan.windows) * vsgof._mc.BLOCK
     assert [size for _, size in seen] == [128 * 200] * 2
+
+
+def test_vs_budget_is_capped_at_a_large_n(uncached, monkeypatch):
+    # n = 1000 with extend: 499 windows, yet a 256-row chunk (256,000
+    # values) runs as four tiles of 64 rows, and the partial chunk whole
+    n, budgets, seen = 1000, *_recording(monkeypatch)
+    ms = candidate_windows(n, 1.0 / 12.0, True)
+    assert len(ms) == 499 and vsgof._mc.MAX_BUDGET < 256 * n
+
+    def null():
+        return [a.tobytes() for a in simulate_null_statistics(
+            "normal", (0.0, 1.0), n, 300, refit=False, ms=ms, seed=32)]
+
+    tiled = null()
+    assert budgets == [vsgof._mc.MAX_BUDGET]
+    assert [size for _, size in seen] == [64 * n] * 4 + [44 * n]
+    monkeypatch.setattr(vsgof._mc, "MAX_BUDGET", 256 * n)  # whole chunks
+    assert null() == tiled
+    assert [size for _, size in seen[5:]] == [256 * n, 44 * n]
 
 
 @pytest.mark.parametrize("k", range(1, 10))
@@ -393,6 +419,25 @@ def test_a_forked_child_builds_its_own_pool(fresh_pools):
         os.waitpid(pid, 0)
         pytest.fail("the forked child did not finish within 60 s")
     assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_threads_raise_the_error_a_serial_run_raises(threads):
+    # item 4 fails at once while item 3 is still running; both fail, and
+    # the first in order is raised, as a serial run raises it
+    ran = []
+
+    def fn(i):
+        ran.append(i)
+        if i == 3:
+            time.sleep(0.05)
+        if i in (3, 4):
+            raise ValueError(f"item {i}")
+        return i
+
+    with pytest.raises(ValueError, match="item 3"):
+        vsgof._mc._run_all(fn, list(range(12)), threads)
+    assert set(range(4)) <= set(ran) and len(ran) < 12
 
 
 # ---------------------------------------------------------------------------
