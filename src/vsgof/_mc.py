@@ -5,9 +5,10 @@ A job of ``total`` replicates is cut into chunks of ``chunk`` replicates
 ``SeedSequence``: ``seed_chunks`` is that rule, written once.  Every null
 simulation runs on one schedule, ``null_map``: a replicate's (B, n) null
 matrix is drawn in chunks of ``CHUNK`` = 256 rows from its own seed, as
-``vs_test`` and ``edf_test`` draw it, and a power cell stacks those of its
-replicates.  The caller names the draw: ``vs_test`` draws the family's
-values (``sample``) and ``edf_test`` their PIT (``sample_pit``, for an
+``vs_test`` and ``edf_test`` draw it, and a power cell stacks those of
+each of its chunks of ``CELL_CHUNK`` = 50 replicates, one after another.
+The caller names the draw: ``vs_test`` draws the family's values
+(``sample``) and ``edf_test`` their PIT (``sample_pit``, for an
 inverse-CDF family the uniforms ``sample`` transforms); both take the
 same numbers from the generator.  An evaluation sees at most the
 caller's ``budget`` of values (one row, where a row is more): ``BLOCK`` by
@@ -29,14 +30,13 @@ submits to a pool, so its nested calls run serially.  Every evaluation
 is row-wise, a row's result never depending on the rows stacked with it,
 so neither the grouping, the tiling nor the thread count changes a bit;
 the seed and the chunk size are the contract.
-``seeded_map`` runs power cells' chunks of ``CELL_CHUNK`` = 50 replicates.
 
 Null references take two paths on purpose.  A single test's depends on
 its key (family, parameters, n, options, B, seed), not on the data:
 ``null_reference`` keeps recent ones, sorted, in one thread-safe LRU, so
 a repeated key costs a ``searchsorted`` that counts what a fresh
-simulation would.  A power cell's replicates never repeat a seed, so they
-skip the cache and stack their references in one ``null_map`` call.
+simulation would.  A power cell's replicates never repeat a seed, so
+they skip the cache.
 """
 
 from __future__ import annotations
@@ -210,23 +210,6 @@ def _pool(workers: int) -> ThreadPoolExecutor:
             _pools[workers] = ThreadPoolExecutor(
                 workers, initializer=setattr, initargs=(_worker, "busy", True))
         return _pools[workers]
-
-
-def seeded_map(jobs, total: int, *, threads: int = 1) -> list[list]:
-    """Run every job's ``fn(size, child)`` over ``total`` replicates, in
-    chunks of ``CELL_CHUNK``.
-
-    ``jobs`` lists ``(seed, fn)`` pairs, the seed an int or a
-    ``SeedSequence``.  Returns, per job, the results of its chunks in
-    order.  All chunks of all jobs share one pool when ``threads > 1``.
-    """
-    threads = check_count(threads, "threads")
-    tasks = [(fn, size, child) for seed, fn in jobs
-             for size, child in seed_chunks(seed, total, CELL_CHUNK)]
-    out = _run_all(lambda task: task[0](*task[1:]), tasks, threads)
-    k = len(tasks) // len(jobs) if jobs else 0
-    return [out[i * k:(i + 1) * k] for i in range(len(jobs))]
-
 
 
 def null_reference(fields: tuple, B, seed, threads, build

@@ -431,7 +431,7 @@ class _LogNormal(_Sampled):
     def log_density(self, params, x):
         mu, sd = params[0], params[1]
         pos = x > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             lx = np.log(np.where(pos, x, 1.0))
             z = (lx - mu) / sd
             out = -lx - np.log(sd) - 0.5 * _LOG_2PI - 0.5 * z * z
@@ -440,12 +440,14 @@ class _LogNormal(_Sampled):
     def cdf(self, params, x):
         mu, sd = params[0], params[1]
         below = x <= 0  # False for NaN, which stays NaN
-        z = (np.log(np.where(below, 1.0, x)) - mu) / sd
+        with np.errstate(over="ignore"):  # +-inf: a tiny sd
+            z = (np.log(np.where(below, 1.0, x)) - mu) / sd
         return np.where(below, 0.0, ndtr(z))
 
     def quantile(self, params, q):
         mu, sd = params[0], params[1]
-        return np.exp(mu + sd * ndtri(q))
+        with np.errstate(over="ignore"):  # inf: beyond the float range
+            return np.exp(mu + sd * ndtri(q))
 
     def sample(self, params, size, rng):
         mu, sd = float(params[0]), float(params[1])
@@ -472,11 +474,13 @@ class _Exponential(_Family):
 
     def log_density(self, params, x):
         lam = params[0]
-        return np.where(x >= 0, np.log(lam) - lam * x, -np.inf)
+        with np.errstate(over="ignore"):  # -inf: below the float range
+            return np.where(x >= 0, np.log(lam) - lam * x, -np.inf)
 
     def cdf(self, params, x):
         lam = params[0]
-        return np.where(x < 0, 0.0, -np.expm1(-lam * np.maximum(x, 0.0)))
+        with np.errstate(over="ignore"):  # lam x beyond the range: 1
+            return np.where(x < 0, 0.0, -np.expm1(-lam * np.maximum(x, 0.0)))
 
     def quantile(self, params, q):
         lam = params[0]
@@ -504,14 +508,15 @@ class _Gamma(_Sampled):
     def log_density(self, params, x):
         a, rate = params[0], params[1]
         pos = x > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             lx = np.log(np.where(pos, x, 1.0))
             out = a * np.log(rate) - gammaln(a) + (a - 1.0) * lx - rate * x
         return np.where(pos, out, -np.inf)
 
     def cdf(self, params, x):
         a, rate = params[0], params[1]
-        return gammainc(a, rate * np.maximum(x, 0.0))
+        with np.errstate(over="ignore"):  # rate x beyond the range: 1
+            return gammainc(a, rate * np.maximum(x, 0.0))
 
     def quantile(self, params, q):
         a, rate = params[0], params[1]
@@ -570,8 +575,9 @@ class _Weibull(_Family):
 
     def cdf(self, params, x):
         a, b = params[0], params[1]
-        z = np.maximum(x, 0.0) / b
-        return np.where(x < 0, 0.0, -np.expm1(-(z ** a)))
+        with np.errstate(over="ignore"):  # (x / b)^a beyond the range: 1
+            z = np.maximum(x, 0.0) / b
+            return np.where(x < 0, 0.0, -np.expm1(-(z ** a)))
 
     def quantile(self, params, q):
         a, b = params[0], params[1]
@@ -681,7 +687,7 @@ class _Fisher(_Sampled):
     def log_density(self, params, x):
         d1, d2 = params[0], params[1]
         pos = x > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             lx = np.log(np.where(pos, x, 1.0))
             half1, half2 = 0.5 * d1, 0.5 * d2
             out = (half1 * (np.log(d1) + lx)
@@ -692,8 +698,8 @@ class _Fisher(_Sampled):
 
     def cdf(self, params, x):
         d1, d2 = params[0], params[1]
-        dx = d1 * np.maximum(x, 0.0)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
+            dx = d1 * np.maximum(x, 0.0)
             w = dx / (dx + d2)
         # inf / inf at x = +inf (or where d1 * x overflows): the limit is 1
         w = np.where(np.isinf(dx), 1.0, w)
@@ -702,7 +708,7 @@ class _Fisher(_Sampled):
     def quantile(self, params, q):
         d1, d2 = params[0], params[1]
         y = _betaincinv(0.5 * d1, 0.5 * d2, q)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return d2 * y / (d1 * (1.0 - y))
 
     def sample(self, params, size, rng):

@@ -7,8 +7,8 @@ harness compares the spacing-based test against; composite (estimated
 parameter) variants are deliberately not provided.
 
 The observed statistic has one path, ``_observed_rows``, with a cause
-code per row: a single test is row 0 of it, a power cell runs its
-replicates as the rows.  Monte-Carlo replication runs through
+code per row: a single test is row 0 of it, a power cell runs a chunk of
+its replicates as the rows.  Monte-Carlo replication runs through
 ``vsgof._mc.null_map`` and follows its seeded chunk contract, so p-values
 are bitwise identical for any thread count.  The null needs only the PIT
 of each draw (the family's ``sample_pit``), sorted in place: for the five
@@ -16,7 +16,8 @@ inverse-CDF families (uniform, exponential, weibull, pareto, laplace) the
 uniforms themselves, with no quantile and no CDF evaluated; for the five
 with their own sampler, the CDF of the draw.  A single test reuses the
 null reference of a repeated (family, params, n, test, B, seed); a power
-cell, whose seeds never repeat, stacks its replicates' in one call.
+cell, whose seeds never repeat, stacks those of a chunk of its
+replicates in one call.
 """
 
 from __future__ import annotations
@@ -190,17 +191,19 @@ def edf_test(x: "Sample | np.ndarray", family: str, params, test_id: str, *,
 
 
 def _p_value_rows(fam, params: np.ndarray, test_id: str, X: np.ndarray,
-                  seeds: np.ndarray, B: int) -> tuple[np.ndarray, np.ndarray]:
+                  seeds: np.ndarray, B: int, *, threads: int = 1
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """The p-value of :func:`edf_test` on every row of X at once, row i with
     seed ``seeds[i]``, and the cause of each row; the p-value is NaN
     exactly where ``edf_test`` raises a ``VsgofError``.  The null
-    replicates of all rows run through one ``vsgof._mc.null_map``, each
-    row's drawn as ``edf_test`` draws them."""
+    replicates of all rows run through one ``vsgof._mc.null_map`` on
+    ``threads`` threads, each row's drawn as ``edf_test`` draws them."""
     _, kernel = _resolve_test(test_id)
     cause, observed = _observed_rows(fam, params, X, kernel)
     rows = np.flatnonzero(cause == OK)
     null, = null_map(fam.sample_pit, [params] * rows.size, X.shape[1], B,
-                     seeds[rows], lambda U: (kernel(_sorted(U)),))
+                     seeds[rows], lambda U: (kernel(_sorted(U)),),
+                     threads=threads)
     # the share of each row's null statistics at or above its observed one
     p_values = np.full(X.shape[0], np.nan)
     p_values[rows] = (null.reshape(-1, B)

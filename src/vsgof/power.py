@@ -32,28 +32,27 @@ null, so ``null_params`` is required whenever ks/cvm/ad appear in
 ``tests``.
 
 Reproducibility: every (n, test) cell owns a branch of the scenario's
-seed sequence and runs in the seeded chunks of ``vsgof._mc`` (50
-replicates each), each replicate drawing its inner Monte-Carlo seed from
-the chunk stream right after its sample; results are therefore bitwise
-identical for any ``threads`` value.  A chunk's replicates are evaluated
-together, their null matrices stacked in one ``vsgof._mc.null_map``, each
-drawn from its own inner seed exactly as ``vs_test``/``edf_test`` would
-draw it.  Every replicate keeps the p-value, or the error, of its own
-test call, so the tables equal those of one call per replicate.
+seed sequence and runs, in order, in seeded chunks of ``CELL_CHUNK`` = 50
+replicates, each replicate drawing its inner Monte-Carlo seed from the
+chunk stream right after its sample.  A chunk's null matrices are
+stacked in one ``vsgof._mc.null_map``, each drawn from its own inner seed
+exactly as ``vs_test``/``edf_test`` would draw it; ``threads`` shares
+only that call's evaluations, so results are bitwise identical for any
+value.  Every replicate keeps the p-value, or the error, of its own test
+call, so the tables equal those of one call per replicate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from io import StringIO
 
 import numpy as np
 
 from . import distributions as dist
 from . import edf, vstest
-from ._mc import check_count, check_seed, seeded_map
+from ._mc import CELL_CHUNK, check_count, check_seed, seed_chunks
 from .errors import DataError, ParameterError
 from .vstest import _SIMULATE_FLAGS, TestOptions, _check_delta
 
@@ -280,7 +279,8 @@ def parse_scenario_file(path) -> PowerScenario:
 # ---------------------------------------------------------------------------
 
 def _cell_chunk(scn: PowerScenario, n: int, test: str, count: int,
-                seed_seq: np.random.SeedSequence) -> tuple[int, int]:
+                seed_seq: np.random.SeedSequence, threads: int
+                ) -> tuple[int, int]:
     """(rejections, errors) over `count` replicates of one (n, test) cell.
 
     Each replicate draws its sample and then its inner Monte-Carlo seed
@@ -301,28 +301,29 @@ def _cell_chunk(scn: PowerScenario, n: int, test: str, count: int,
         p, cause = vstest._p_value_rows(fam, X, seeds, TestOptions(
             delta=scn.delta, extend=scn.extend, relax=scn.relax,
             simulate_p_value=_SIMULATE_FLAGS[scn.simulate], B=scn.B,
-            fixed_params=scn.null_params))
+            fixed_params=scn.null_params), threads=threads)
     else:
         p, cause = edf._p_value_rows(fam, fam.validate_params(scn.null_params),
-                                     test, X, seeds, scn.B)
+                                     test, X, seeds, scn.B, threads=threads)
     return int((p <= scn.alpha).sum()), int(np.count_nonzero(cause))
 
 
 def run_power_study(scenario: PowerScenario, *, threads: int = 1) -> PowerTable:
     """Estimate rejection rates for every (n, test) cell of the scenario.
 
-    ``threads`` distributes the chunks of every cell over one thread pool;
-    the table is bitwise identical for any value.
+    The cells and their chunks run in order; ``threads`` shares each
+    chunk's null evaluations between the calling thread and the kept
+    pool.  The table is bitwise identical for any value.
     """
+    threads = check_count(threads, "threads")
     cells = [(n, t) for n in scenario.n_values for t in scenario.tests]
     cell_seqs = np.random.SeedSequence(scenario.seed).spawn(len(cells))
-    jobs = [(seq, partial(_cell_chunk, scenario, n, t))
-            for seq, (n, t) in zip(cell_seqs, cells)]
-    outcomes = seeded_map(jobs, scenario.replicates, threads=threads)
-    rows = tuple(
-        PowerRow(scenario=scenario.name, n=n, test=t,
-                 rejections=sum(r for r, _ in chunks),
-                 errors=sum(e for _, e in chunks),
-                 replicates=scenario.replicates)
-        for (n, t), chunks in zip(cells, outcomes))
-    return PowerTable(scenario=scenario, rows=rows)
+    rows = []
+    for (n, t), seq in zip(cells, cell_seqs):
+        rejections, errors = map(sum, zip(*(
+            _cell_chunk(scenario, n, t, size, child, threads)
+            for size, child in seed_chunks(seq, scenario.replicates,
+                                           CELL_CHUNK))))
+        rows.append(PowerRow(scenario.name, n, t, rejections, errors,
+                             scenario.replicates))
+    return PowerTable(scenario=scenario, rows=tuple(rows))

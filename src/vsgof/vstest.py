@@ -28,13 +28,13 @@ log-densities summing below the float range).
 The observed statistic has one path, ``_observed_rows``: it runs the steps
 above on every row of a matrix and gives each row without a statistic a
 cause code of ``vsgof.errors.CAUSES``.  A single test is row 0 of it and
-raises the error of its row's cause; a power cell runs its replicates as
-the rows.  The Monte-Carlo reference has two paths on purpose, both on
-the seeded chunks of ``vsgof._mc.null_map`` (bitwise identical for any
-``threads``): a single test's goes through :func:`monte_carlo_p_value`,
-which reuses the reference of a repeated null, options, B and seed; a
-power cell, whose seeds never repeat, stacks its replicates' references
-in one ``null_map`` call.
+raises the error of its row's cause; a power cell runs a chunk of its
+replicates as the rows.  The Monte-Carlo reference has two paths on
+purpose, both on the seeded chunks of ``vsgof._mc.null_map`` (bitwise
+identical for any ``threads``): a single test's goes through
+:func:`monte_carlo_p_value`, which reuses the reference of a repeated
+null, options, B and seed; a power cell's chunk, whose seeds never
+repeat, stacks its replicates' references in one ``null_map`` call.
 
 A note on the equivalence mode used by the test-suite identity check: with
 ``relax=True``, ``delta=-1/6`` and a simple normal null whose plug-in scale
@@ -465,15 +465,16 @@ def monte_carlo_p_value(observed: float, family: str, params, n: int, *,
     return float(above / kept), int(B - kept)
 
 
-def _p_value_rows(fam, X: np.ndarray, seeds: np.ndarray, opts: TestOptions
-                  ) -> tuple[np.ndarray, np.ndarray]:
+def _p_value_rows(fam, X: np.ndarray, seeds: np.ndarray, opts: TestOptions,
+                  *, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """The p-value of :func:`vs_test` on every row of X at once, row i with
     seed ``seeds[i]``, and the cause of each row.
 
     A row's p-value is NaN exactly where ``vs_test`` raises a
     ``VsgofError``: a cause of :func:`_observed_rows`, or every null
     replicate discarded.  The null replicates of all rows run through one
-    ``vsgof._mc.null_map``, each row's drawn as ``vs_test`` draws them.
+    ``vsgof._mc.null_map`` on ``threads`` threads, each row's drawn as
+    ``vs_test`` draws them.
     """
     cause, P, stat, col, ms, _, _ = _observed_rows(fam, X, opts)
     n = X.shape[1]
@@ -487,7 +488,7 @@ def _p_value_rows(fam, X: np.ndarray, seeds: np.ndarray, opts: TestOptions
     stats, _, ok = null_map(
         fam.sample, P[rows], n, opts.B, seeds[rows],
         lambda X: _null_rows(fam, params, X, refit, ms, opts.relax),
-        budget=_budget(ms))
+        threads=threads, budget=_budget(ms))
     # the share of each row's kept null statistics strictly above its
     # observed one; NaN (0 / 0) where every null replicate was discarded
     stats, ok = stats.reshape(-1, opts.B), ok.reshape(-1, opts.B)

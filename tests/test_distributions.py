@@ -5,6 +5,7 @@ quantiles; the library itself implements every family from scratch.
 """
 
 import hashlib
+import itertools
 import math
 import re
 import warnings
@@ -15,6 +16,7 @@ import scipy.stats as st
 from scipy.integrate import quad
 from scipy.special import betaincinv, gammaln, psi, zeta
 
+from vsgof import edf_test, vs_test
 from vsgof.distributions import (
     FitResult,
     call_name,
@@ -283,6 +285,58 @@ def test_real_line_cdf_far_out_leaks_no_warning():
     assert cdf("laplace", (0.0, 1.0), np.array([-800.0, 800.0])).tolist() == [
         0.0, 1.0]
     assert cdf("normal", (-1e308, 1.0), np.array([1e308])).tolist() == [1.0]
+
+
+# every valid parameter vector of a family from these values, at data and
+# levels at the edges of the float range
+_EDGE_POSITIVE = (1e-300, 1.0, 300.0, 700.0, 1e300)
+_EDGE_LOCATION = (-1e300, -700.0, 0.0, 700.0, 1e300)
+_EDGE_PARAMS = [
+    (fid, params) for fid in family_ids()
+    for params in itertools.product(*(
+        _EDGE_POSITIVE if i in resolve_family(fid).positive_params
+        else _EDGE_LOCATION
+        for i in range(len(resolve_family(fid).param_names))))
+    if resolve_family(fid).param_rows_ok(np.array(params))]
+
+
+@pytest.mark.parametrize("fid, params", _EDGE_PARAMS)
+def test_family_methods_at_the_float_range_edges_leak_no_warning(fid, params):
+    # the suite turns a RuntimeWarning into an error
+    x = np.array([1e308, -1e308, 1e200, -1e200, 0.0, 5e-324, 1e-300, 1e10])
+    assert not np.isnan(log_density(fid, params, x)).any()
+    assert not np.isnan(cdf(fid, params, x)).any()
+    quantile(fid, params, [0.0, 5e-324, 1e-300, 0.5, 1.0 - 1e-16, 1.0])
+
+
+@pytest.mark.parametrize("method, fid, params, x, want", [
+    (log_density, "lognormal", (0.0, 1e-300), 1e10, -np.inf),
+    (cdf, "lognormal", (-1e300, 1e-300), 1e10, 1.0),
+    (quantile, "lognormal", (700.0, 300.0), 1.0 - 1e-16, np.inf),
+    (log_density, "exponential", (1e300,), 1e308, -np.inf),
+    (cdf, "exponential", (1e300,), 1e308, 1.0),
+    (log_density, "gamma", (2.0, 1e300), 1e308, -np.inf),
+    (cdf, "gamma", (2.0, 1e300), 1e308, 1.0),
+    (cdf, "weibull", (300.0, 1.0), 1e10, 1.0),
+    (cdf, "weibull", (1.0, 1e-300), 1e10, 1.0),
+    (log_density, "fisher", (1e300, 1.0), 1e308, -np.inf),
+    (cdf, "fisher", (1e300, 1.0), 1e308, 1.0),
+])
+def test_overflow_gives_the_limit(method, fid, params, x, want):
+    assert method(fid, params, [x]).tolist() == [want]
+
+
+@pytest.mark.parametrize("run", [
+    # (x / b)^a beyond the float range in the PIT of 1e100
+    lambda: edf_test([1.0, 2.0, 3.0, 1e100], "weibull", (4.0, 1.0), "ks",
+                     B=10, seed=1),
+    # lam x beyond the float range in the log-density of 1e308
+    lambda: vs_test([1, 2, 3, 4, 1e308], "exponential", fixed_params=(10,)),
+    lambda: vs_test([1, 2, 3, 4, 1e308], "gamma", fixed_params=(2, 10)),
+], ids=["edf weibull", "vs exponential", "vs gamma"])
+def test_tests_of_data_far_from_the_null_leak_no_warning(run):
+    with pytest.raises(DataError):
+        run()
 
 
 def test_quantile_rejects_bad_levels():

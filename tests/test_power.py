@@ -235,9 +235,16 @@ def test_power_study_deterministic_across_threads():
     t1 = run_power_study(scn, threads=1)
     t8 = run_power_study(scn, threads=8)
     assert t1.rows == t8.rows
+    # an asymptotic vs-only scenario simulates no null: the study itself
+    # must reject a bad thread count
+    asymptotic = PowerScenario(
+        name="asym", null_family="dexp", alt_family="dlnorm",
+        alt_params=(0.0, 1.0), n_values=(12,), seed=99, replicates=3,
+        simulate="false")
     for bad_threads in (0, -3, "2", None, 1.5, True):
-        with pytest.raises(ParameterError, match="threads must be"):
-            run_power_study(scn, threads=bad_threads)
+        for study in (scn, asymptotic):
+            with pytest.raises(ParameterError, match="threads must be"):
+                run_power_study(study, threads=bad_threads)
 
 
 def test_replicate_errors_are_counted_not_rejected():

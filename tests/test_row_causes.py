@@ -13,6 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import vsgof._mc
 from vsgof import distributions as dist
 from vsgof import edf
 from vsgof.edf import edf_test
@@ -71,12 +72,12 @@ PATHS = [
 ]
 
 
-def _rows(family, how):
+def _rows(family, how, threads=1):
     fam = dist.resolve_family(family)
     if isinstance(how, TestOptions):
-        return _p_value_rows(fam, X, SEEDS, how)
+        return _p_value_rows(fam, X, SEEDS, how, threads=threads)
     return edf._p_value_rows(fam, fam.validate_params(SIMPLE), how, X,
-                             SEEDS, 2)
+                             SEEDS, 2, threads=threads)
 
 
 def _single(family, how, x, seed):
@@ -85,10 +86,18 @@ def _single(family, how, x, seed):
     return edf_test(x, family, SIMPLE, how, B=2, seed=seed).p_value
 
 
-@pytest.mark.parametrize("label, family, how, expected", PATHS,
-                         ids=[p[0] for p in PATHS])
-def test_each_row_equals_its_single_test(label, family, how, expected):
-    p, cause = _rows(family, how)
+# every path serially, and on the pool with blocks and tiles of one row
+# (n = 8): each row's null chunk of B = 2 is then its own pool item,
+# evaluated a row at a time
+@pytest.mark.parametrize("label, family, how, expected, threads", [
+    pytest.param(*path, threads,
+                 id=path[0] if threads == 1 else f"{path[0]}, 2 threads")
+    for threads in (1, 2) for path in PATHS])
+def test_each_row_equals_its_single_test(label, family, how, expected,
+                                         threads, monkeypatch):
+    if threads > 1:
+        monkeypatch.setattr(vsgof._mc, "BLOCK", X.shape[1])
+    p, cause = _rows(family, how, threads)
     for i, row in enumerate(ROWS):
         if row in expected:
             assert cause[i] == expected[row], row
