@@ -10,26 +10,29 @@ each of its chunks of ``CELL_CHUNK`` = 50 replicates, one after another.
 The caller names the draw: ``vs_test`` draws the family's values
 (``sample``) and ``edf_test`` their PIT (``sample_pit``, for an
 inverse-CDF family the uniforms ``sample`` transforms); both take the
-same numbers from the generator.  An evaluation sees at most the
-caller's ``budget`` of values (one row, where a row is more): ``BLOCK`` by
-default, so that its temporaries stay small enough for the allocator to
-reuse instead of mapping and faulting them in afresh.  A vs evaluation
-runs Python that holds the GIL for each candidate window, the same for
-64 rows as for 256, so its caller grants it ``BLOCK`` values per window
-up to ``MAX_BUDGET`` = 4 · ``BLOCK``, which bounds its temporaries at any
-n: at n = 200 a 256-row chunk with every window is evaluated whole.
-Consecutive chunks form blocks of at most ``BLOCK`` values, each
-evaluated at once, and a chunk of more than the budget is drawn and
-evaluated in even tiles of rows, in order, from its one generator (which
-fills arrays sequentially, so the tiles hold the chunk's draw).  Blocks
-and tiled chunks run serially, or shared by the calling thread and a
-pool of ``threads - 1`` workers that the process keeps from the first
-call that needs it (a forked child builds its own), and come back in
-order, a failure raised as a serial run raises it; a pool worker never
-submits to a pool, so its nested calls run serially.  Every evaluation
-is row-wise, a row's result never depending on the rows stacked with it,
-so neither the grouping, the tiling nor the thread count changes a bit;
-the seed and the chunk size are the contract.
+same numbers from the generator.  One rule sizes every evaluation: it
+sees at most the caller's ``budget`` of values (one row, where a row is
+more), ``BLOCK`` by default.  Consecutive chunks form blocks of at most
+the budget, each evaluated at once, and a chunk of more than the budget
+is drawn and evaluated in even tiles of rows, in order, from its one
+generator (which fills arrays sequentially, so the tiles hold the
+chunk's draw).  Each evaluation pays a fixed cost in Python calls and
+GIL handoffs whatever its rows, which a larger budget spreads over more
+of them, and a bounded one keeps its temporaries small enough for the
+allocator to reuse instead of mapping and faulting them in afresh.  An
+EDF evaluation makes the same dozen numpy calls at any size, so its
+callers grant 2 · ``BLOCK``: a power chunk of 50 replicates at n = 20
+and B = 200 runs as 7 evaluations.  A vs evaluation runs Python for each
+candidate window, so its callers grant ``BLOCK`` values per window up
+to ``MAX_BUDGET`` = 4 · ``BLOCK``: at n = 200 a 256-row chunk with every
+window is evaluated whole, and with the default three in two tiles.  Blocks and tiled chunks run serially, or shared by the calling
+thread and a pool of ``threads - 1`` workers that the process keeps from
+the first call that needs it (a forked child builds its own), and come
+back in order, a failure raised as a serial run raises it; a pool worker
+never submits to a pool, so its nested calls run serially.  Every
+evaluation is row-wise, a row's result never depending on the rows
+stacked with it, so neither the grouping, the tiling nor the thread
+count changes a bit; the seed and the chunk size are the contract.
 
 Null references take two paths on purpose.  A single test's depends on
 its key (family, parameters, n, options, B, seed), not on the data:
@@ -52,14 +55,14 @@ from .errors import ParameterError
 
 CHUNK = 256  # replicates per chunk of the vs and EDF null simulations
 CELL_CHUNK = 50  # replicates per chunk of a power-study cell
-# null values (rows x n), 128 KiB, that the chunks grouped in one block
-# hold at most, and that one evaluation sees at most unless its caller
-# grants a larger budget; raising either bound for every evaluation was
-# measured slower on the EDF nulls and power cells, whose temporaries the
-# allocator then faults in
+# null values (rows x n), 128 KiB: the budget of an evaluation whose
+# caller names none, and the unit of the package's budgets, two per EDF
+# evaluation and one per candidate window of a vs one; larger ones were
+# measured slower, their temporaries faulted in afresh
 BLOCK = 2 ** 14
-# the most values (512 KiB) a vs null evaluation sees, whatever its
-# windows, so that its temporaries stay bounded at any n
+# the most values (512 KiB) any evaluation of the package sees, one row
+# where a row is more: the cap of the vs callers' budget, so that its
+# temporaries stay bounded at any n
 MAX_BUDGET = 4 * BLOCK
 # 8-byte values (512 KiB) the null-reference cache keeps, its keys' arrays
 # included; a larger reference serves its own call but is not kept
@@ -127,18 +130,19 @@ def null_map(draw, params_rows, n: int, B: int, seeds, evaluate, *,
     ``sample``, or its ``sample_pit``).  ``evaluate(X)`` maps a block of
     stacked rows, a fresh array it may overwrite, to a tuple of per-row
     arrays; each array comes back with the rows of every replicate in
-    order (empty for no replicate).  The chunks go to blocks of at most
-    ``BLOCK`` values, or a larger chunk to tiles of at most ``budget``
-    values (``BLOCK`` if None), and those to the thread pool; like the
-    grouping, the tiling is not part of the contract.
+    order (empty for no replicate).  ``budget`` (``BLOCK`` if None) bounds
+    the values of every evaluation: the chunks go to blocks of at most
+    ``budget`` values, or a larger chunk to tiles of at most ``budget``,
+    and those to the thread pool; neither the grouping nor the tiling is
+    part of the contract.
     """
     B = check_count(B, "B")
     threads = check_count(threads, "threads")
     budget = BLOCK if budget is None else budget
-    blocks, values = [], BLOCK
+    blocks, values = [], budget
     for params, seed in zip(params_rows, seeds):
         for size, child in seed_chunks(seed, B):
-            if values + size * n > BLOCK:
+            if values + size * n > budget:
                 blocks.append([])
                 values = 0
             blocks[-1].append((params, size, child))
@@ -146,8 +150,8 @@ def null_map(draw, params_rows, n: int, B: int, seeds, evaluate, *,
 
     def run(block):
         if len(block) != 1:
-            # chunks that fit in BLOCK together; for no replicate one empty
-            # block, so that the arrays still come back
+            # chunks that fit in the budget together; for no replicate one
+            # empty block, so that the arrays still come back
             return [evaluate(np.concatenate(
                 [draw(params, (size, n), np.random.default_rng(child))
                  for params, size, child in block] or [np.empty((0, n))]))]

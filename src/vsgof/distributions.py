@@ -51,6 +51,9 @@ Parameter and support constraints are class data: ``positive_params``
 names the parameters that must be > 0 and ``fit_interval`` the open
 interval fitted data must lie in, and the base class builds every check
 and message from them; only uniform adds its own ``Min < Max`` check.
+The support is that interval too, except where it depends on the
+parameters or holds its edge: uniform, exponential and pareto say so in
+``outside_support``.
 
 Sampling draws from a caller-supplied ``numpy.random.Generator``.  The
 base class samples by inverse CDF (uniform, exponential, weibull, pareto,
@@ -266,6 +269,11 @@ class _Family:
         lo, hi = self.fit_interval
         return (X <= lo) | (X >= hi)
 
+    def outside_support(self, params, x: np.ndarray) -> np.ndarray:
+        """Elementwise: the values outside the support under ``params``
+        (``support_text``); by default those outside ``fit_interval``."""
+        return self.outside_fit_interval(x)
+
     def validate_fit_data(self, x: np.ndarray) -> None:
         """Support precondition for fitting (independent of parameter values)."""
         bad = np.flatnonzero(self.outside_fit_interval(x))
@@ -348,6 +356,9 @@ class _Uniform(_Family):
     def _check_params(self, p):
         if not self._constraint_rows(p):
             raise ParameterError(f"uniform requires Min < Max, got {p.tolist()}")
+
+    def outside_support(self, params, x):
+        return (x < params[0]) | (x > params[1])
 
     # Where Max - Min overflows, the CDF and quantile work on the halves of
     # Min, Max and x; Python floats overflow to inf without a warning
@@ -472,6 +483,9 @@ class _Exponential(_Family):
     positive_params = (0,)
     fit_interval = (0.0, math.inf)
 
+    def outside_support(self, params, x):
+        return x < 0
+
     def log_density(self, params, x):
         lam = params[0]
         with np.errstate(over="ignore"):  # -inf: below the float range
@@ -516,7 +530,9 @@ class _Gamma(_Sampled):
     def cdf(self, params, x):
         a, rate = params[0], params[1]
         with np.errstate(over="ignore"):  # rate x beyond the range: 1
-            return gammainc(a, rate * np.maximum(x, 0.0))
+            F = gammainc(a, rate * np.maximum(x, 0.0))
+        # gammainc rounds above 1 at tiny shapes (1 + 2.4e-14 at 1e-300)
+        return np.minimum(F, 1.0, out=F if np.ndim(F) else None)
 
     def quantile(self, params, q):
         a, rate = params[0], params[1]
@@ -635,6 +651,9 @@ class _Pareto(_Family):
     support_text = "reals >= c"
     positive_params = (0, 1)
     fit_interval = (0.0, math.inf)
+
+    def outside_support(self, params, x):
+        return x < params[1]
 
     def log_density(self, params, x):
         mu, c = params[0], params[1]

@@ -10,7 +10,11 @@ The observed statistic has one path, ``_observed_rows``, with a cause
 code per row: a single test is row 0 of it, a power cell runs a chunk of
 its replicates as the rows.  Monte-Carlo replication runs through
 ``vsgof._mc.null_map`` and follows its seeded chunk contract, so p-values
-are bitwise identical for any thread count.  The null needs only the PIT
+are bitwise identical for any thread count.  Its callers grant every
+evaluation 2 · ``_mc.BLOCK`` values: a sorted-PIT evaluation makes the
+same dozen numpy calls whatever its rows, so a power chunk's replicates
+are grouped, while a single test's 200 × 200 chunk is still tiled (whole,
+it read slower).  The null needs only the PIT
 of each draw (the family's ``sample_pit``), sorted in place: for the five
 inverse-CDF families (uniform, exponential, weibull, pareto, laplace) the
 uniforms themselves, with no quantile and no CDF evaluated; for the five
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import distributions as dist
+from . import _mc, distributions as dist
 from ._mc import check_count, null_map, null_reference
 from .errors import (DEGENERATE_PIT, INVALID_DATA, OK, OUTSIDE_SUPPORT,
                      ParameterError)
@@ -181,8 +185,8 @@ def edf_test(x: "Sample | np.ndarray", family: str, params, test_id: str, *,
     ref, _ = null_reference(
         (fam.family_id, p.tobytes(), s.n, key), B, seed, threads,
         lambda: (null_map(fam.sample_pit, [p], s.n, B, [seed],
-                          lambda U: (kernel(_sorted(U)),),
-                          threads=threads)[0], B))
+                          lambda U: (kernel(_sorted(U)),), threads=threads,
+                          budget=2 * _mc.BLOCK)[0], B))
     # the share of the B null statistics at or above the observed one
     p_value = float((ref.size - np.searchsorted(ref, observed, "left")) / B)
     return EdfTestReport(family_id=fam.family_id, n=s.n, test_id=key,
@@ -203,7 +207,7 @@ def _p_value_rows(fam, params: np.ndarray, test_id: str, X: np.ndarray,
     rows = np.flatnonzero(cause == OK)
     null, = null_map(fam.sample_pit, [params] * rows.size, X.shape[1], B,
                      seeds[rows], lambda U: (kernel(_sorted(U)),),
-                     threads=threads)
+                     threads=threads, budget=2 * _mc.BLOCK)
     # the share of each row's null statistics at or above its observed one
     p_values = np.full(X.shape[0], np.nan)
     p_values[rows] = (null.reshape(-1, B)

@@ -180,8 +180,9 @@ def empirical_null_loglik(x: "Sample | np.ndarray", family: str, params) -> floa
 def _null_loglik(fam, params, X: np.ndarray) -> np.ndarray:
     """Mean null log-density along the last axis of X; ``params`` broadcasts
     against X: one parameter vector, or columns of per-row parameters.  It
-    is finite exactly where the values lie inside the support (a finite
-    log-density each) and their sum inside the float range."""
+    is finite exactly where every value has a finite log-density (inside
+    the support, and not so far out that it is below the float range) and
+    their sum is inside the float range."""
     with np.errstate(over="ignore", invalid="ignore"):
         return np.asarray(fam.log_density(params, X)).mean(axis=-1)
 
@@ -270,20 +271,22 @@ def _delta(fam, opts: TestOptions) -> float:
 def _raise_cause(fam, s: Sample, cause: int, params: np.ndarray) -> None:
     """Raise the error of a single test whose row has a cause; ``params``
     are the row's null parameters.  Messages that name positions come from
-    the data.  Outside the support, they are the values whose log-density
-    is not finite or, where every one is finite but their sum is below the
-    float range, the fewest (lowest) of them whose sum is."""
+    the data: the values outside the support if any, else those inside it
+    whose log-density is below the float range or, where every one is
+    finite but their sum is below it, the fewest (lowest) of them whose
+    sum is."""
     if cause == OUTSIDE_FIT:
         fam.validate_fit_data(s.values)
     elif cause == FAILED_FIT:
         raise fam.fit_error(s.values)
     elif cause == OUTSIDE_SUPPORT:
-        L = fam.log_density(params, s.values)
-        bad = np.flatnonzero(~np.isfinite(L))
-        if bad.size and fam.support_text != "the real line":
+        bad = np.flatnonzero(fam.outside_support(params, s.values))
+        if bad.size:
             raise DataError(
                 f"observations outside the {fam.family_id} support "
                 f"({fam.support_text}) at positions {bad.tolist()[:10]}")
+        L = fam.log_density(params, s.values)
+        bad = np.flatnonzero(~np.isfinite(L))
         if not bad.size:
             order = np.argsort(L, kind="stable")
             with np.errstate(over="ignore"):
@@ -408,11 +411,12 @@ def _null_rows(fam, params: np.ndarray | None, X: np.ndarray, refit: bool,
 
 def _budget(ms: np.ndarray) -> int:
     """The values one null evaluation of :func:`_null_rows` may see
-    (``null_map``'s ``budget``): ``_mc.BLOCK`` per candidate window, up to
-    ``_mc.MAX_BUDGET``.  Each window runs Python that holds the GIL
-    whatever the rows, so larger tiles spread it over more of them; at
-    n = 200 a 256-row chunk is evaluated whole with every window (99), in
-    two tiles with the default three."""
+    (``null_map``'s ``budget``, which bounds both the chunks grouped in a
+    block and the tiles of a larger chunk): ``_mc.BLOCK`` per candidate
+    window, up to ``_mc.MAX_BUDGET``.  Each window runs Python that holds
+    the GIL whatever the rows, so larger evaluations spread it over more
+    of them; at n = 200 a 256-row chunk is evaluated whole with every
+    window (99), in two tiles with the default three."""
     return min(_mc.BLOCK * len(ms), _mc.MAX_BUDGET)
 
 

@@ -159,6 +159,15 @@ def test_observation_outside_support_rejected_like_vs_test():
     assert 0.0 <= edf_test(x, "dexp", (1.0,), "ad", B=200, seed=1).p_value <= 1.0
 
 
+def test_log_density_below_float_range_inside_the_support_rejected():
+    # 1e308 is inside the exponential support, but its log-density under
+    # rate 10 is below the float range: the message says so, as vs_test's
+    with pytest.raises(DataError, match=r"exponential null log-density at "
+                       r"positions \[4\] is below the float range"):
+        edf_test([1.0, 2.0, 3.0, 4.0, 1e308], "dexp", (10.0,), "ks", B=10,
+                 seed=1)
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo p-values
 

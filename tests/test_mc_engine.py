@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import select_window_oracle
 import vsgof._mc
+import vsgof.edf
 import vsgof.vstest
 from vsgof import (ParameterError, PowerScenario, TestOptions,
                    candidate_windows, edf_mc_p_value, edf_test,
@@ -162,9 +163,11 @@ def _grouped_outputs():
 def test_block_grouping_changes_no_bit(uncached, monkeypatch, block):
     # 1: one row per tile; 3000: the 256-row chunks of n = 20 and 60 in
     # tiles (of 43 and 41 rows at n = 60); 2**40: every chunk of a call in
-    # one block
+    # one block.  The EDF callers' budget is 2 * BLOCK, and the vs
+    # callers' is capped by MAX_BUDGET, so both bounds move together.
     default = _grouped_outputs()
     monkeypatch.setattr(vsgof._mc, "BLOCK", block)
+    monkeypatch.setattr(vsgof._mc, "MAX_BUDGET", block)
     assert _grouped_outputs() == default
 
 
@@ -277,8 +280,10 @@ def test_no_vs_evaluation_sees_more_than_its_budget(uncached, monkeypatch):
     _vs_budget_outputs()
     assert len(budgets) == 6
     assert all(size <= budget for budget, size in seen)
-    # every window: a 256-row chunk is one evaluation
-    assert max(size for _, size in seen) == 256 * 200
+    # every window: a 256-row chunk is one evaluation, and the budget
+    # groups a power row's with its next 44-row chunk (60,000 values)
+    sizes = [size for _, size in seen]
+    assert 256 * 200 in sizes and max(sizes) == (256 + 44) * 200
     # the default three windows (a simple gamma null): 2 x 128 rows
     seen.clear()
     r = vs_test(np.random.default_rng(416).gamma(2.5, 1.0, size=200),
@@ -305,6 +310,32 @@ def test_vs_budget_is_capped_at_a_large_n(uncached, monkeypatch):
     monkeypatch.setattr(vsgof._mc, "MAX_BUDGET", 256 * n)  # whole chunks
     assert null() == tiled
     assert [size for _, size in seen[5:]] == [256 * n, 44 * n]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_an_edf_power_chunk_is_grouped_by_its_budget(monkeypatch, threads):
+    # a power chunk of 50 replicates at n = 20 and B = 200: 8 replicates
+    # (32,000 values) to a block of at most 2 * BLOCK, so ceil(50 / 8) = 7
+    # evaluations
+    seen, null_map = [], vsgof.edf.null_map
+
+    def recording_null_map(draw, params_rows, n, B, seeds, evaluate, **kw):
+        def recording(U):
+            seen.append(U.size)
+            return evaluate(U)
+        return null_map(draw, params_rows, n, B, seeds, recording, **kw)
+
+    monkeypatch.setattr(vsgof.edf, "null_map", recording_null_map)
+    fam = resolve_family("pareto")
+    X = 1.0 + np.random.default_rng(417).lognormal(0.0, 1.0, size=(50, 20))
+    seeds = np.arange(500, 550, dtype=np.int64)
+    p, cause = vsgof.edf._p_value_rows(fam, fam.validate_params((1.0, 1.0)),
+                                       "ad", X, seeds, 200, threads=threads)
+    assert sorted(seen) == [2 * 200 * 20] + [8 * 200 * 20] * 6
+    assert max(seen) <= 2 * vsgof._mc.BLOCK and not cause.any()
+    assert p.tolist() == [
+        edf_test(x, "pareto", (1.0, 1.0), "ad", B=200, seed=int(s)).p_value
+        for x, s in zip(X, seeds)]
 
 
 @pytest.mark.parametrize("k", range(1, 10))

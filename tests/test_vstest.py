@@ -146,6 +146,24 @@ def test_log_density_below_float_range_is_not_outside_the_real_line(
     assert cause[0] == OUTSIDE_SUPPORT
 
 
+@pytest.mark.parametrize("family, params", [
+    ("dexp", (10.0,)), ("dgamma", (2.0, 10.0)), ("dweibull", (2.0, 0.1))])
+def test_log_density_below_float_range_inside_a_bounded_support(family,
+                                                                params):
+    # 1e308 lies inside the support; only its log-density is below the
+    # float range.  A value outside the support is named alone.
+    x = np.array([1.0, 2.0, 3.0, 4.0, 1e308])
+    match = r"null log-density at positions \[4\] is below the float range"
+    with pytest.raises(DataError, match=match):
+        vs_test(x, family, fixed_params=params, B=10, seed=1)
+    with pytest.raises(DataError, match=match):
+        empirical_null_loglik(x, family, params)
+    x[0] = -1.0
+    with pytest.raises(DataError, match=r"outside the \w+ support "
+                       r"\([a-z -]+\) at positions \[0\]$"):
+        vs_test(x, family, fixed_params=params, B=10, seed=1)
+
+
 @pytest.mark.parametrize("family", ["dnorm", "dgamma", "dexp", "dlaplace", "df"])
 def test_fit_whose_mean_leaves_the_float_range_fails(family):
     # finite data whose sum overflows: no warning leaks (RuntimeWarning is
