@@ -25,10 +25,11 @@ callers grant 2 · ``BLOCK``: a power chunk of 50 replicates at n = 20
 and B = 200 runs as 7 evaluations.  A vs evaluation runs Python for each
 candidate window, so its callers grant ``BLOCK`` values per window up
 to ``MAX_BUDGET`` = 4 · ``BLOCK``: at n = 200 a 256-row chunk with every
-window is evaluated whole, and with the default three in two tiles.  Blocks and tiled chunks run serially, or shared by the calling
-thread and a pool of ``threads - 1`` workers that the process keeps from
-the first call that needs it (a forked child builds its own), and come
-back in order, a failure raised as a serial run raises it; a pool worker
+window is evaluated whole, and with the default three in two tiles.
+Blocks and tiled chunks run serially, or shared by the calling thread
+and a pool of ``threads - 1`` workers that the process keeps from the
+first call that needs it (a forked child builds its own), and come back
+in order, a failure raised as a serial run raises it; a pool worker
 never submits to a pool, so its nested calls run serially.  Every
 evaluation is row-wise, a row's result never depending on the rows
 stacked with it, so neither the grouping, the tiling nor the thread

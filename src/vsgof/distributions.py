@@ -503,10 +503,13 @@ class _Exponential(_Family):
 
     def fit_rows(self, X):
         # a mean beyond the float range gives a rate of 0, a subnormal one
-        # (below ~5.6e-309) an infinite rate: both fail
-        with np.errstate(over="ignore", divide="ignore"):
+        # (below ~5.6e-309) an infinite rate: both fail, and so does a row
+        # holding a value <= 0 (or NaN), whatever its mean
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             lam = 1.0 / X.mean(axis=1)
         ok = (lam > 0) & (lam < np.inf)
+        if not X.min(initial=np.inf) > 0:  # row minima only where needed
+            ok &= X.min(axis=1) > 0
         lam[~ok] = np.nan
         return lam[:, None], ok, np.log(lam) - 1.0
 
@@ -606,7 +609,7 @@ class _Weibull(_Family):
         # for large trial shapes and resolves values that differ in their
         # last digits, and u = log x:
         #   l(a) = log a + a mean(v) - log mean(exp(a v)) - mean(u) - 1
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             xmax = X.max(axis=1)
             V = np.log(X / xmax[:, None])
             wide = X.min(axis=1) / xmax < _TINY  # x / max x leaves the normal range
@@ -851,7 +854,7 @@ class _Beta(_Sampled):
         #   l(a, b) = (a - 1) mean(log x) + (b - 1) mean(log(1 - x)) - log B(a, b)
         # which is concave.  log B is finite at some a, b <= 0, where l is
         # -inf; it is summed from log Gamma(a + b), which can far exceed |l|
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             mlx = np.log(X).mean(axis=1)
             ml1x = np.log1p(-X).mean(axis=1)
             m = X.mean(axis=1)

@@ -57,11 +57,12 @@ class CapabilityError(VsgofError):
     closed-form entropy where none is implemented)."""
 
 
-# Why a row of the row-wise test path (``vstest._observed_rows``,
-# ``edf._observed_rows`` and the ``_p_value_rows`` of both) has no p-value.
-# A single test is row 0 of that path: it raises the error class of its
-# row's cause, with the message given here or, where it names positions,
-# the one the data give.  OK is a row with a p-value.
+# Why a row of the row-wise test path (``vstest._rows``, which every vs
+# null replicate runs through too, ``edf._observed_rows`` and the
+# ``_p_value_rows`` of both) has no p-value.  A single test is row 0 of
+# that path: it raises the error class of its row's cause, with the
+# message given here or, where it names positions, the one the data give.
+# OK is a row with a p-value.
 (OK, INVALID_DATA, OUTSIDE_FIT, FAILED_FIT, OUTSIDE_SUPPORT, TIES,
  CONSTRAINT, DISCARDED, DEGENERATE_PIT) = range(9)
 CAUSES: dict[int, tuple[type, str | None]] = {

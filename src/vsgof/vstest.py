@@ -25,16 +25,17 @@ candidate window is admissible (ties, or the constraint), its refit fails,
 or its null term is not finite (a draw outside the null support, or
 log-densities summing below the float range).
 
-The observed statistic has one path, ``_observed_rows``: it runs the steps
-above on every row of a matrix and gives each row without a statistic a
-cause code of ``vsgof.errors.CAUSES``.  A single test is row 0 of it and
-raises the error of its row's cause; a power cell runs a chunk of its
-replicates as the rows.  The Monte-Carlo reference has two paths on
-purpose, both on the seeded chunks of ``vsgof._mc.null_map`` (bitwise
-identical for any ``threads``): a single test's goes through
-:func:`monte_carlo_p_value`, which reuses the reference of a repeated
-null, options, B and seed; a power cell's chunk, whose seeds never
-repeat, stacks its replicates' references in one ``null_map`` call.
+Every statistic has one path, ``_rows``: it runs the steps above on every
+row of a matrix and then gives each row without a statistic a cause code
+of ``vsgof.errors.CAUSES``.  A single test runs its sample as the one row
+and raises the error of the row's cause; a power cell runs a chunk of its
+replicates as the rows; and every block of null replicates runs through
+it too.  The Monte-Carlo reference has two paths on purpose, both on the
+seeded chunks of ``vsgof._mc.null_map`` (bitwise identical for any
+``threads``): a single test's goes through :func:`monte_carlo_p_value`,
+which reuses the reference of a repeated null, options, B and seed; a
+power cell's chunk, whose seeds never repeat, stacks its replicates'
+references in one ``null_map`` call.
 
 A note on the equivalence mode used by the test-suite identity check: with
 ``relax=True``, ``delta=-1/6`` and a simple normal null whose plug-in scale
@@ -209,59 +210,54 @@ def _select_rows(V: np.ndarray, computable: np.ndarray, loglik: np.ndarray,
     return col, found & np.isfinite(loglik)
 
 
-def _settle(cause: np.ndarray, live: np.ndarray, bad: np.ndarray,
-            code: int) -> np.ndarray:
-    """Give the rows ``live[bad]`` the cause ``code``; the others stay live."""
-    if not bad.any():
-        return live
-    cause[live[bad]] = code
-    return live[~bad]
+def _rows(fam, X: np.ndarray, params: np.ndarray | None, ms: np.ndarray,
+          relax: bool, checked: bool) -> tuple:
+    """:func:`vs_test`'s statistic on every row of X, observed or null: the
+    null term (params None: the log-likelihood of the row's fit), an in-place
+    sort, the spacing estimates at the windows ``ms`` and the window rule.
 
-
-def _observed_rows(fam, X: np.ndarray, opts: TestOptions,
-                   S: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-    """The observed half of :func:`vs_test` on every row of X.
-
-    Returns ``(cause, P, stat, col, ms, V, computable)``: per row the code
-    of ``errors.CAUSES`` (OK where the row has a statistic), the null
-    parameters (fitted or fixed), the statistic (NaN unless OK) and the
-    selected column of the candidate windows ``ms``, over which ``V`` and
-    ``computable`` are the spacing estimates.  The causes are checked in
-    the single test's order: invalid data, data outside the fit interval,
-    a failed fit (or invalid fitted parameters), data outside the null
-    support (or log-densities summing below the float range; a composite
-    row's null term is the one its fit returns), ties (no computable
-    window), the constraint.  ``S`` is X sorted along its rows, given when
-    X is one ``Sample``'s values: they are then not checked or sorted again.
+    Returns ``(stat, m_hat, ok, cause, P, V, computable)``: per row the
+    statistic (NaN unless ``ok``, the row has one), the selected window,
+    ``ok``, the code of ``errors.CAUSES`` (``cause`` is None where every row
+    is ok), the fitted parameters (or ``params``) and the spacing
+    estimates.  The rows left without a statistic get their cause last, in
+    the single test's order: invalid data, data outside the fit interval, a
+    failed fit (or invalid fitted parameters), data outside the null
+    support (or log-densities summing below the float range), ties, the
+    constraint; each is assigned after those it yields to.  ``checked``
+    says X is a null block: it is not screened for invalid data (a uniform
+    null's spread may overflow) or invalid fitted parameters (a fit flags
+    ok valid ones only).
     """
-    rows, n = X.shape
-    cause, live = np.full(rows, OK), np.arange(rows)
-    if S is None:
-        live = _settle(cause, live, ~valid_rows(X), INVALID_DATA)
-        S = np.sort(X, axis=1)
-    P = np.full((rows, len(fam.param_names)), np.nan)
-    loglik = np.full(rows, np.nan)
-    if opts.fixed_params is None:
-        live = _settle(cause, live,
-                       fam.outside_fit_interval(X[live]).any(axis=1),
-                       OUTSIDE_FIT)
-        P[live], fitted, loglik[live] = fam.fit_rows(X[live])
-        # a row whose fitted parameters are invalid is not a fit either
-        live = _settle(cause, live, ~(fitted & fam.param_rows_ok(P[live])),
-                       FAILED_FIT)
+    if params is None:
+        P, fitted, loglik = fam.fit_rows(X)  # NaN where the fit fails
+        if not checked:  # a fit flagged ok with invalid parameters fails
+            fitted &= fam.param_rows_ok(P)
+            loglik[~fitted] = np.nan
     else:
-        P[:] = params = fam.validate_params(opts.fixed_params)
-        loglik[live] = _null_loglik(fam, params, X[live])
-    live = _settle(cause, live, ~np.isfinite(loglik[live]), OUTSIDE_SUPPORT)
-    # every row's windows: those of the rows settled above go unused
-    ms = candidate_windows(n, _delta(fam, opts), opts.extend)
-    V, computable = batch_window_values(S, ms)
-    live = _settle(cause, live, ~computable[live].any(axis=1), TIES)
-    col, found = _select_rows(V, computable, loglik, opts.relax)
-    live = _settle(cause, live, ~found[live], CONSTRAINT)
-    stat = np.full(rows, np.nan)
-    stat[live] = -V[live, col[live]] - loglik[live]
-    return cause, P, stat, col, ms, V, computable
+        P, loglik = params, _null_loglik(fam, params, X)
+    X.sort(axis=1)
+    V, computable = batch_window_values(X, ms)
+    col, ok = _select_rows(V, computable, loglik, relax)
+    if not checked:
+        valid = valid_rows(X)
+        ok &= valid
+    with np.errstate(invalid="ignore"):
+        stat = np.where(ok, -V[np.arange(col.size), col] - loglik, np.nan)
+    cause = None
+    if not ok.all():
+        bad = np.flatnonzero(~ok)
+        why = np.full(bad.size, CONSTRAINT)
+        why[~computable[bad].any(axis=1)] = TIES
+        why[~np.isfinite(loglik[bad])] = OUTSIDE_SUPPORT
+        if params is None:
+            why[~fitted[bad]] = FAILED_FIT
+            why[fam.outside_fit_interval(X[bad]).any(axis=1)] = OUTSIDE_FIT
+        if not checked:
+            why[~valid[bad]] = INVALID_DATA
+        cause = np.full(ok.size, OK)
+        cause[bad] = why
+    return stat, ms[col], ok, cause, P, V, computable
 
 
 def _delta(fam, opts: TestOptions) -> float:
@@ -301,15 +297,19 @@ def _raise_cause(fam, s: Sample, cause: int, params: np.ndarray) -> None:
 
 def _observed_sample(fam, s: Sample, opts: TestOptions
                      ) -> tuple[np.ndarray, float, int, WindowScan]:
-    """Row 0 of :func:`_observed_rows` for one sample: the null parameters,
-    the statistic, the selected window and the scan; raises the error of
-    the row's cause.  The arrays returned are copies, so that a report
-    does not keep the (1, k) row matrices alive."""
-    cause, P, stat, col, ms, V, computable = _observed_rows(
-        fam, s.values[None, :], opts, s.sorted_values[None, :])
-    if cause[0]:
-        _raise_cause(fam, s, cause[0], P[0])
-    return P[0].copy(), float(stat[0]), int(ms[col[0]]), WindowScan(
+    """:func:`_rows` of one sample: the null parameters, the statistic, the
+    selected window and the scan; raises the error of the row's cause.
+    The arrays returned are copies, so that a report does not keep the
+    (1, k) row matrices alive."""
+    params = (None if opts.fixed_params is None
+              else fam.validate_params(opts.fixed_params))
+    ms = candidate_windows(s.n, _delta(fam, opts), opts.extend)
+    stat, m_hat, ok, cause, P, V, computable = _rows(
+        fam, s.values[None, :].copy(), params, ms, opts.relax, False)
+    P = P[0] if params is None else params
+    if not ok[0]:
+        _raise_cause(fam, s, cause[0], P)
+    return P.copy(), float(stat[0]), int(m_hat[0]), WindowScan(
         windows=ms, values=V[0].copy(), computable=computable[0].copy())
 
 
@@ -388,29 +388,8 @@ def _asymptotic_rows(stat: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
 # Monte-Carlo engine
 # ---------------------------------------------------------------------------
 
-def _null_rows(fam, params: np.ndarray | None, X: np.ndarray, refit: bool,
-               ms: np.ndarray, relax: bool
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Null replicate rows: statistics, windows, validity flags.  With
-    ``refit`` every row is refitted, its null term is the log-likelihood
-    its fit returns, and ``params`` is not used.  X is a fresh block of
-    ``null_map``: it is sorted in place once the null term is taken."""
-    size = X.shape[0]
-    if refit:
-        loglik = fam.fit_rows(X)[2]  # NaN where the refit failed
-    else:
-        loglik = fam.log_density(params, X).mean(axis=1)
-    X.sort(axis=1)
-    V, computable = batch_window_values(X, ms)
-    col, ok = _select_rows(V, computable, loglik, relax)
-    best = np.where(ok, V[np.arange(size), col], -np.inf)
-    with np.errstate(invalid="ignore"):
-        stats = -best - loglik
-    return stats, ms[col], ok
-
-
 def _budget(ms: np.ndarray) -> int:
-    """The values one null evaluation of :func:`_null_rows` may see
+    """The values one null evaluation of :func:`_rows` may see
     (``null_map``'s ``budget``, which bounds both the chunks grouped in a
     block and the tiles of a larger chunk): ``_mc.BLOCK`` per candidate
     window, up to ``_mc.MAX_BUDGET``.  Each window runs Python that holds
@@ -426,15 +405,18 @@ def simulate_null_statistics(family: str, params, n: int, B: int, *,
                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Statistics of B null replicates (parametric bootstrap).
 
-    Returns ``(stats, m_hat, ok)``; entries with ``ok=False`` had no
-    admissible window (or a failed re-fit) and must be ignored.  Replicates
-    run in the seeded chunks of ``vsgof._mc.null_map``: output is
-    independent of ``threads``.
+    Returns ``(stats, m_hat, ok)``; entries with ``ok=False`` (no
+    admissible window, a failed refit or a draw outside the null support)
+    are NaN and must be ignored.  Each replicate runs through
+    :func:`_rows`, the path of the observed statistic, in the seeded
+    chunks of ``vsgof._mc.null_map``: output is independent of
+    ``threads``.
     """
     fam = dist.resolve_family(family)
     p = fam.validate_params(params)
+    null = None if refit else p
     return null_map(fam.sample, [p], n, B, [seed],
-                    lambda X: _null_rows(fam, p, X, refit, ms, relax),
+                    lambda X: _rows(fam, X, null, ms, relax, True)[:3],
                     threads=threads, budget=_budget(ms))
 
 
@@ -475,23 +457,28 @@ def _p_value_rows(fam, X: np.ndarray, seeds: np.ndarray, opts: TestOptions,
     seed ``seeds[i]``, and the cause of each row.
 
     A row's p-value is NaN exactly where ``vs_test`` raises a
-    ``VsgofError``: a cause of :func:`_observed_rows`, or every null
-    replicate discarded.  The null replicates of all rows run through one
+    ``VsgofError``: a cause of :func:`_rows`, or every null replicate
+    discarded.  The null replicates of all rows run through one
     ``vsgof._mc.null_map`` on ``threads`` threads, each row's drawn as
-    ``vs_test`` draws them.
+    ``vs_test`` draws them.  X is not changed.
     """
-    cause, P, stat, col, ms, _, _ = _observed_rows(fam, X, opts)
     n = X.shape[1]
-    rows = np.flatnonzero(cause == OK)
+    params = (None if opts.fixed_params is None
+              else fam.validate_params(opts.fixed_params))
+    ms = candidate_windows(n, _delta(fam, opts), opts.extend)
+    stat, m_hat, ok, cause, P, _, _ = _rows(fam, X.copy(), params, ms,
+                                            opts.relax, False)
+    if cause is None:
+        cause = np.full(ok.size, OK)
+    rows = np.flatnonzero(ok)
     p_values, stat = np.full(X.shape[0], np.nan), stat[rows]
     if _resolve_p_method(opts, n) == "asymptotic":
-        p_values[rows] = _asymptotic_rows(stat, ms[col[rows]], n)
+        p_values[rows] = _asymptotic_rows(stat, m_hat[rows], n)
         return p_values, cause
-    refit = opts.fixed_params is None
-    params = None if refit else P[0]
     stats, _, ok = null_map(
-        fam.sample, P[rows], n, opts.B, seeds[rows],
-        lambda X: _null_rows(fam, params, X, refit, ms, opts.relax),
+        fam.sample, P[rows] if params is None else [params] * rows.size,
+        n, opts.B, seeds[rows],
+        lambda X: _rows(fam, X, params, ms, opts.relax, True)[:3],
         threads=threads, budget=_budget(ms))
     # the share of each row's kept null statistics strictly above its
     # observed one; NaN (0 / 0) where every null replicate was discarded

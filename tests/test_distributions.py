@@ -658,18 +658,28 @@ OVERFLOWING_DRAWS = [("exponential", (1e-310,)), ("gamma", (2.0, 1e-310)),
                          + OVERFLOWING_DRAWS)
 def test_family_layer_leaks_no_warning_and_fits_only_valid_parameters(fid, params):
     # The suite turns a RuntimeWarning into an error.  Draws, quantiles and
-    # fits of rows holding 0, -1, +inf or NaN (among values inside every
-    # support), or one value, leak none, and a row a fit flags ok has
-    # parameters that validate_params accepts and a log-likelihood.
+    # fits of rows holding 0, -1, +-inf, NaN, +-1.7e308 or the edges of
+    # fit_interval (among values inside every support), a spread beyond
+    # the float range, or one value, leak none, and a row a fit flags ok
+    # has parameters that validate_params accepts and a log-likelihood.
+    # vs_test fits every row before it gives the rows without a statistic
+    # their cause, so a fit fails every row it must reject: one holding a
+    # value outside fit_interval (its edges included), NaN or +-inf.
     fam = resolve_family(fid)
     quantile(fid, params, [0.0, 0.5, 1.0])
     base = [0.2, 0.4, 0.5, 0.7, 0.9]
-    bad = np.array([[v, *base] for v in (0.0, -1.0, np.inf, np.nan)]
+    lo, hi = fam.fit_interval or (-np.inf, np.inf)
+    bad = np.array([[v, *base] for v in (0.0, -1.0, np.inf, -np.inf, np.nan,
+                                         1.7e308, -1.7e308, lo - 1e-3, lo,
+                                         hi, hi + 1e-3)]
+                   + [[v, -v, *base[1:]] for v in (1.7e308, 4e307)]
                    + [[0.0, -1.0, np.inf, np.nan, 0.5, 0.7], [0.5] * 6])
     for X in (sample(fid, params, (4, 30), np.random.default_rng(5)), bad):
         P, ok, ll = fam.fit_rows(X)
         assert fam.param_rows_ok(P[ok]).all()
         np.testing.assert_array_equal(np.isnan(ll), ~ok)
+    reject = fam.outside_fit_interval(bad).any(axis=1) | ~np.isfinite(bad).all(axis=1)
+    assert not ok[reject].any()
 
 
 # fit_mle parameters as float.hex on fixed samples, compared with ==.  For

@@ -93,6 +93,42 @@ def test_vs_test_monte_carlo_p_value_pinned(kind, data_seed, family, options,
         ("fisher", (5.0, 10.0), 40, 300, 20, True, True,
          [0, 0, 3, 30, 56, 41, 19, 17, 7, 7, 7, 9, 3, 2, 1, 1, 0, 2, 11, 84],
          281, 27.277465550261223),
+        ("uniform", (0.0, 2.0), 30, 300, 21, True, False,
+         [0, 0, 47, 103, 72, 45, 18, 8, 3, 1, 2, 1], 300, 34.53515955176827),
+        ("uniform", (0.0, 2.0), 30, 300, 22, False, True,
+         [0, 0, 49, 107, 77, 29, 13, 9, 7, 5, 3, 0, 1], 300,
+         55.59084688082486),
+        ("lognormal", (0.5, 0.8), 30, 300, 23, True, False,
+         [0, 0, 21, 51, 54, 33, 17, 7, 19, 16, 5, 8, 3, 6, 60], 300,
+         41.77664637047181),
+        ("lognormal", (0.5, 0.8), 30, 300, 24, False, False,
+         [0, 0, 10, 63, 49, 30, 18, 16, 13, 11, 7, 6, 9, 7, 61], 300,
+         51.24231974378288),
+        ("gamma", (2.5, 1.0), 30, 300, 25, True, False,
+         [0, 0, 29, 99, 80, 40, 21, 12, 5, 6, 2, 0, 1, 0, 5], 300,
+         54.07238866754896),
+        ("gamma", (2.5, 1.0), 30, 300, 26, False, False,
+         [0, 0, 37, 101, 66, 46, 15, 6, 6, 8, 3, 1, 1, 1, 9], 300,
+         64.08468681712054),
+        ("weibull", (1.5, 2.0), 30, 300, 27, True, False,
+         [0, 0, 34, 100, 108, 22, 9, 16, 3, 5, 0, 1, 0, 0, 2], 300,
+         53.39064536839217),
+        ("weibull", (1.5, 2.0), 30, 300, 28, False, False,
+         [0, 0, 38, 100, 69, 41, 23, 10, 8, 4, 2, 2, 1, 2], 300,
+         63.09366054354368),
+        ("laplace", (0.0, 1.0), 30, 300, 29, True, False,
+         [0, 0, 10, 55, 60, 34, 30, 26, 23, 25, 22, 7, 6, 1, 1], 300,
+         44.07216293577104),
+        ("laplace", (0.0, 1.0), 30, 300, 30, False, True,
+         [0, 0, 21, 39, 62, 31, 24, 29, 26, 25, 12, 15, 10, 5, 1], 300,
+         52.89134951402164),
+        # U-shaped: refits that fail, and draws rounded to 0 or 1 (outside
+        # the null support), discarded
+        ("beta", (0.2, 0.2), 30, 300, 31, True, False,
+         [0, 290, 8, 2], 149, 20.500209271753516),
+        ("beta", (0.2, 0.2), 30, 300, 32, False, True,
+         [0, 0, 0, 0, 0, 0, 0, 0, 1, 3, 8, 15, 45, 66, 162], 299,
+         -573.068815723588),
     ],
 )
 def test_simulated_windows_pinned(family, params, n, B, seed, refit, relax,
@@ -257,20 +293,21 @@ def test_vs_budget_changes_no_bit(uncached, monkeypatch):
 
 def _recording(monkeypatch):
     """The budgets the vs paths pass to ``null_map``, and the (budget,
-    size) of every ``_null_rows`` evaluation, as they are recorded."""
+    size) of every null evaluation, as they are recorded."""
     budgets, seen = [], []
-    null_map, null_rows = vsgof.vstest.null_map, vsgof.vstest._null_rows
+    null_map = vsgof.vstest.null_map
 
     def recording_null_map(*args, budget, **kwargs):
         budgets.append(budget)
-        return null_map(*args, budget=budget, **kwargs)
+        *args, evaluate = args
 
-    def recording_null_rows(fam, params, X, *args):
-        seen.append((budgets[-1], X.size))
-        return null_rows(fam, params, X, *args)
+        def recording_evaluate(X):
+            seen.append((budgets[-1], X.size))
+            return evaluate(X)
+
+        return null_map(*args, recording_evaluate, budget=budget, **kwargs)
 
     monkeypatch.setattr(vsgof.vstest, "null_map", recording_null_map)
-    monkeypatch.setattr(vsgof.vstest, "_null_rows", recording_null_rows)
     return budgets, seen
 
 

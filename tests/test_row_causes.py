@@ -45,9 +45,11 @@ ROWS = {
     # null replicates of a B = 2 run are discarded
     "u-shaped": [0.02, 0.97, 0.05, 0.91, 0.12, 0.99, 0.5, 0.03],
     "plain": [0.62, 1.37, 0.18, 0.94, 2.41, 0.33, 0.71, 1.05],
+    # one value just below 0 among positive ones, whose mean is positive
+    "one below zero": [0.62, 1.37, -1e-3, 0.94, 2.41, 0.33, 0.71, 1.05],
 }
 X = np.array(list(ROWS.values()))
-SEEDS = np.array([11, 12, 13, 14, 15, 16, 17, 18, 2, 19])
+SEEDS = np.array([11, 12, 13, 14, 15, 16, 17, 18, 2, 19, 20])
 SIMPLE = (1.0, 2.0)  # the gamma (shape, rate) of the simple vs and KS paths
 
 # (label, family, options or EDF test id, expected causes by row label)
@@ -56,7 +58,15 @@ PATHS = [
         "non-finite": INVALID_DATA, "negative": OUTSIDE_FIT,
         "no spread": FAILED_FIT, "dense ties": TIES,
         "negative, far tail": OUTSIDE_FIT,
-        "constraint": CONSTRAINT, "plain": OK}),
+        "constraint": CONSTRAINT, "plain": OK,
+        "one below zero": OUTSIDE_FIT}),
+    # a closed-form fit that takes the rate of a positive mean: values
+    # outside (0, inf) must still end the row as the single test ends
+    ("exponential composite", "exponential",
+     TestOptions(simulate_p_value=True, B=2), {
+         "non-finite": INVALID_DATA, "negative": OUTSIDE_FIT,
+         "negative, far tail": OUTSIDE_FIT, "one below zero": OUTSIDE_FIT,
+         "plain": OK}),
     ("gamma composite asymptotic", "gamma",
      TestOptions(simulate_p_value=False), {"plain": OK}),
     ("gamma simple", "gamma",
