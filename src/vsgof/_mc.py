@@ -8,9 +8,10 @@ matrix is drawn in chunks of ``CHUNK`` = 256 rows from its own seed, as
 ``vs_test`` and ``edf_test`` draw it, and a power cell stacks those of
 each of its chunks of ``CELL_CHUNK`` = 50 replicates, one after another.
 The caller names the draw: ``vs_test`` draws the family's values
-(``sample``) and ``edf_test`` their PIT (``sample_pit``, for an
-inverse-CDF family the uniforms ``sample`` transforms); both take the
-same numbers from the generator.  One rule sizes every evaluation: it
+(``sample``) and ``edf_test`` what their PIT is taken from (``pit_draw``:
+for an inverse-CDF family the uniforms ``sample`` transforms, else the
+family's values), its evaluation taking the PIT; both take the same
+numbers from the generator.  One rule sizes every evaluation: it
 sees at most the caller's ``budget`` of values (one row, where a row is
 more), ``BLOCK`` by default.  Consecutive chunks form blocks of at most
 the budget, each evaluated at once, and a chunk of more than the budget
@@ -26,14 +27,21 @@ and B = 200 runs as 7 evaluations.  A vs evaluation runs Python for each
 candidate window, so its callers grant ``BLOCK`` values per window up
 to ``MAX_BUDGET`` = 4 · ``BLOCK``: at n = 200 a 256-row chunk with every
 window is evaluated whole, and with the default three in two tiles.
-Blocks and tiled chunks run serially, or shared by the calling thread
-and a pool of ``threads - 1`` workers that the process keeps from the
-first call that needs it (a forked child builds its own), and come back
-in order, a failure raised as a serial run raises it; a pool worker
-never submits to a pool, so its nested calls run serially.  Every
-evaluation is row-wise, a row's result never depending on the rows
-stacked with it, so neither the grouping, the tiling nor the thread
-count changes a bit; the seed and the chunk size are the contract.
+Blocks run serially, or shared by the calling thread and a pool of
+``threads - 1`` workers that the process keeps from the first call that
+needs it (a forked child builds its own), and come back in order, a
+failure raised as a serial run raises it; a pool worker never submits to
+a pool, so its nested calls run serially.  A job whose one block is a
+chunk of several tiles (an ``edf_test`` at n = 200 and B <= 256, say)
+may share its tiles instead, where its caller asks: the thread that
+evaluates a tile draws it, in turn, from the chunk's one generator, so
+that the draws keep their order and the evaluations run at once.  The
+EDF callers ask where the PIT is a family CDF, which releases the GIL;
+a vs evaluation runs Python for each window, and two of its tiles at
+once read slower than one after the other.  Every evaluation is
+row-wise, a row's result never depending on the rows stacked with it,
+so neither the grouping, the tiling nor the thread count changes a bit;
+the seed and the chunk size are the contract.
 
 Null references take two paths on purpose.  A single test's depends on
 its key (family, parameters, n, options, B, seed), not on the data:
@@ -121,21 +129,25 @@ def seed_chunks(seed, total: int, chunk: int = CHUNK
 
 
 def null_map(draw, params_rows, n: int, B: int, seeds, evaluate, *,
-             threads: int = 1, budget: int | None = None
-             ) -> tuple[np.ndarray, ...]:
+             threads: int = 1, budget: int | None = None,
+             share_tiles: bool = False) -> tuple[np.ndarray, ...]:
     """``evaluate`` over the (B, n) null matrices of several replicates.
 
     Replicate r's matrix is the one a test with null parameters
     ``params_rows[r]`` and seed ``seeds[r]`` simulates: the rows of its
     seeded chunks, each chunk ``draw(params, (size, n), rng)`` (a family's
-    ``sample``, or its ``sample_pit``).  ``evaluate(X)`` maps a block of
+    ``sample``, or its ``pit_draw``).  ``evaluate(X)`` maps a block of
     stacked rows, a fresh array it may overwrite, to a tuple of per-row
     arrays; each array comes back with the rows of every replicate in
     order (empty for no replicate).  ``budget`` (``BLOCK`` if None) bounds
     the values of every evaluation: the chunks go to blocks of at most
     ``budget`` values, or a larger chunk to tiles of at most ``budget``,
-    and those to the thread pool; neither the grouping nor the tiling is
-    part of the contract.
+    and those to the thread pool.  With ``share_tiles``, at ``threads``
+    >= 2, the tiles of a lone chunk are the pool's items instead, each
+    drawn in turn by the thread that evaluates it: for an evaluation that
+    spends its time in numpy calls that release the GIL, such as an EDF
+    null's CDF.  Neither the grouping, the tiling nor the thread that
+    draws a tile is part of the contract.
     """
     B = check_count(B, "B")
     threads = check_count(threads, "threads")
@@ -149,6 +161,13 @@ def null_map(draw, params_rows, n: int, B: int, seeds, evaluate, *,
             blocks[-1].append((params, size, child))
             values += size * n
 
+    def tiles(size):
+        # the fewest even tiles of at most budget values (one row if a row
+        # is more)
+        count = -(-size // max(budget // n, 1))
+        rows = -(-size // count)
+        return [min(rows, size - i) for i in range(0, size, rows)]
+
     def run(block):
         if len(block) != 1:
             # chunks that fit in the budget together; for no replicate one
@@ -156,19 +175,48 @@ def null_map(draw, params_rows, n: int, B: int, seeds, evaluate, *,
             return [evaluate(np.concatenate(
                 [draw(params, (size, n), np.random.default_rng(child))
                  for params, size, child in block] or [np.empty((0, n))]))]
-        # one chunk: the fewest even tiles of at most budget values (one
-        # row if a row is more), drawn in order from the chunk's one
+        # one chunk: its tiles drawn in order from the chunk's one
         # generator, which fills arrays sequentially
         (params, size, child), = block
         rng = np.random.default_rng(child)
-        tiles = -(-size // max(budget // n, 1))
-        rows = -(-size // tiles)
-        return [evaluate(draw(params, (min(rows, size - i), n), rng))
-                for i in range(0, size, rows)]
+        return [evaluate(draw(params, (rows, n), rng)) for rows in tiles(size)]
 
+    if (share_tiles and threads > 1 and len(blocks) == 1
+            and len(blocks[0]) == 1):
+        (params, size, child), = blocks[0]
+        sizes = tiles(size)
+        if len(sizes) > 1:
+            # a lone chunk of several tiles: the tiles are the pool's
+            # items, each drawn in turn from the chunk's one generator by
+            # the thread that evaluates it
+            rng = np.random.default_rng(child)
+            return tuple(map(np.concatenate, zip(*_run_all(
+                _in_turn(lambda rows: draw(params, (rows, n), rng), evaluate),
+                list(enumerate(sizes)), threads))))
     return tuple(map(np.concatenate, zip(*(
         out for part in _run_all(run, blocks or [[]], threads)
         for out in part))))
+
+
+def _in_turn(draw, evaluate):
+    """The function of a ``(k, item)`` pair that waits for turn k, draws
+    ``draw(item)``, passes the turn on, and evaluates what it drew: the
+    draws run in the order of k, whatever the thread, and the evaluations
+    at once.  The turn passes on also where a draw fails, so that no
+    thread waits for it for ever."""
+    turn, done = threading.Condition(), [0]
+
+    def drawn(k, item):
+        with turn:
+            turn.wait_for(lambda: done[0] == k)
+            try:
+                return draw(item)
+            finally:
+                done[0] += 1
+                turn.notify_all()
+
+    # the draw is held by evaluate alone, which may free it early
+    return lambda pair: evaluate(drawn(*pair))
 
 
 def _run_all(fn, items: list, threads: int) -> list:

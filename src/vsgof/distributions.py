@@ -60,9 +60,11 @@ base class samples by inverse CDF (uniform, exponential, weibull, pareto,
 laplace); normal/lognormal transform standard normals, and gamma/beta/fisher
 use the generator's native rejection/ratio samplers.  ``sample_pit`` gives
 the probability integral transform F(X) of the draw ``sample`` makes from
-the same generator state: for an inverse-CDF family X = Q(U), and F(X) is
-taken to be U itself, which differs from the computed F(Q(U)) by rounding
-only; a family with its own sampler (``_Sampled``) computes F(X).
+the same generator state, in two steps: ``pit_draw`` takes from the
+generator what it gives, and ``pit_of`` maps that to the PIT.  For an
+inverse-CDF family X = Q(U): the draw is U, and F(X) is taken to be U
+itself, which differs from the computed F(Q(U)) by rounding only.  A
+family with its own sampler (``_Sampled``) draws X and computes F(X).
 
 The module functions are the one input boundary: they validate the
 parameters and convert the values to float arrays once.  The family methods
@@ -77,8 +79,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import (betainc, betaincinv, gammainc, gammaincinv, gammaln,
-                           ndtr, ndtri, psi, zeta)
+from scipy.special import (betainc, betaincinv, gammainc, gammainccinv,
+                           gammaincinv, gammaln, ndtr, ndtri, psi, zeta)
 
 from .errors import CapabilityError, DataError, EstimationError, ParameterError
 from .sample import Sample, as_sample
@@ -114,12 +116,20 @@ def _betaincinv(a, b, q):
     """``betaincinv``, or the small-q series y0 (1 + (b - 1) y0 / (a + 1)),
     y0 = (a B(a, b) q)^(1/a) from its log, for q > 0 below the smallest
     normal float (where ``betaincinv`` can be 20 % off) or where it fails
-    (NaN, or the smallest normal float, at q below ~1e-200)."""
+    (NaN, or the smallest normal float, at q below ~1e-200).  Where that
+    leaves [0, 1], as at shapes such as (300, 1e300) and (5e-301, 350),
+    the one-sided gamma limit: ``gammaincinv(a, q) / b`` for b >= a, else
+    ``1 - gammainccinv(b, q) / a``."""
     y = betaincinv(a, b, q)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         y0 = np.exp((np.log(a) + _lbeta(a, b) + np.log(q)) / a)
         series = y0 * (1.0 + (b - 1.0) * y0 / (a + 1.0))
-    return np.where((q > 0) & ((q < _TINY) | ~(y > _TINY)), series, y)[()]
+        y = np.where((q > 0) & ((q < _TINY) | ~(y > _TINY)), series, y)
+        inside = (y >= 0.0) & (y <= 1.0)  # False for NaN
+        if not inside.all():
+            y = np.where(inside, y, gammaincinv(a, q) / b if b >= a
+                         else 1.0 - gammainccinv(b, q) / a)
+    return y[()]
 
 
 def _spread(X: np.ndarray) -> np.ndarray:
@@ -228,6 +238,8 @@ class _Family:
     positive_params: tuple[int, ...] = ()
     # open interval that data must lie in to be fitted; None: the real line
     fit_interval: tuple[float, float] | None = None
+    # whether ``pit_of`` evaluates the CDF, rather than passing U through
+    pit_is_cdf: bool = False
 
     # -- validation ---------------------------------------------------------
     def validate_params(self, params) -> np.ndarray:
@@ -294,16 +306,25 @@ class _Family:
     def quantile(self, params, q):
         raise NotImplementedError
 
-    def sample_pit(self, params, size, rng: np.random.Generator) -> np.ndarray:
-        """The uniforms U of an inverse-CDF draw Q(U), the PIT of the draw.
-        Generator.random() is [0, 1): a 0 is nudged into (0, 1)."""
+    def pit_draw(self, params, size, rng: np.random.Generator) -> np.ndarray:
+        """What the generator gives for a draw: the uniforms U of an
+        inverse-CDF draw Q(U).  Generator.random() is [0, 1): a 0 is nudged
+        into (0, 1)."""
         U = rng.random(size)
         return np.maximum(U, _TINY, out=U)
+
+    def pit_of(self, params, V: np.ndarray) -> np.ndarray:
+        """The PIT of the draw whose ``pit_draw`` is V: U itself."""
+        return V
+
+    def sample_pit(self, params, size, rng: np.random.Generator) -> np.ndarray:
+        """The PIT of the draw ``sample`` makes from the same generator."""
+        return self.pit_of(params, self.pit_draw(params, size, rng))
 
     def sample(self, params, size, rng: np.random.Generator) -> np.ndarray:
         """Inverse-CDF draw; families with a faster exact sampler override it
         (``_Sampled``)."""
-        return self.quantile(params, self.sample_pit(params, size, rng))
+        return self.quantile(params, self.pit_draw(params, size, rng))
 
     def closed_form_entropy(self, params) -> float:
         raise CapabilityError(
@@ -332,8 +353,13 @@ class _Family:
 class _Sampled(_Family):
     """A family with its own exact sampler: the PIT of a draw is its CDF."""
 
-    def sample_pit(self, params, size, rng):
-        return self.cdf(params, self.sample(params, size, rng))
+    pit_is_cdf = True
+
+    def pit_draw(self, params, size, rng):
+        return self.sample(params, size, rng)
+
+    def pit_of(self, params, V):
+        return self.cdf(params, V)
 
 
 def _log_width(a, b):
@@ -377,9 +403,10 @@ class _Uniform(_Family):
 
     def quantile(self, params, q):
         a, b = float(params[0]), float(params[1])
+        # a + (b - a) q can round above b: to 0 at (-1e300, -700) and q = 1
         if b - a < math.inf:
-            return a + (b - a) * q
-        return 2.0 * (0.5 * a + (0.5 * b - 0.5 * a) * q)
+            return np.minimum(a + (b - a) * q, b)
+        return np.minimum(2.0 * (0.5 * a + (0.5 * b - 0.5 * a) * q), b)
 
     def fit_rows(self, X):
         lo, hi = X.min(axis=1), X.max(axis=1)

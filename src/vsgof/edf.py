@@ -14,14 +14,18 @@ are bitwise identical for any thread count.  Its callers grant every
 evaluation 2 · ``_mc.BLOCK`` values: a sorted-PIT evaluation makes the
 same dozen numpy calls whatever its rows, so a power chunk's replicates
 are grouped, while a single test's 200 × 200 chunk is still tiled (whole,
-it read slower).  The null needs only the PIT
-of each draw (the family's ``sample_pit``), sorted in place: for the five
-inverse-CDF families (uniform, exponential, weibull, pareto, laplace) the
-uniforms themselves, with no quantile and no CDF evaluated; for the five
-with their own sampler, the CDF of the draw.  A single test reuses the
-null reference of a repeated (family, params, n, test, B, seed); a power
-cell, whose seeds never repeat, stacks those of a chunk of its
-replicates in one call.
+it read slower), and at ``threads`` >= 2, where the PIT is a CDF, its two
+tiles are evaluated at once.  The null needs only the PIT of each draw,
+sorted in place.  ``null_map`` draws what the generator gives (the
+family's ``pit_draw``), and the evaluation takes its PIT (``pit_of``):
+for the five inverse-CDF families (uniform, exponential, weibull,
+pareto, laplace) the uniforms themselves, with no quantile and no CDF
+evaluated; for the five with their own sampler, the CDF of the draw,
+which is most of the work and so runs on the threads that evaluate, not
+in the generator's order.  A
+single test reuses the null reference of a repeated (family, params, n,
+test, B, seed); a power cell, whose seeds never repeat, stacks those of
+a chunk of its replicates in one call.
 """
 
 from __future__ import annotations
@@ -184,14 +188,30 @@ def edf_test(x: "Sample | np.ndarray", family: str, params, test_id: str, *,
     observed, s, fam, p = _statistic(x, family, params, kernel)
     ref, _ = null_reference(
         (fam.family_id, p.tobytes(), s.n, key), B, seed, threads,
-        lambda: (null_map(fam.sample_pit, [p], s.n, B, [seed],
-                          lambda U: (kernel(_sorted(U)),), threads=threads,
-                          budget=2 * _mc.BLOCK)[0], B))
+        lambda: (_null_rows(fam, p, s.n, B, [seed], kernel, threads), B))
     # the share of the B null statistics at or above the observed one
     p_value = float((ref.size - np.searchsorted(ref, observed, "left")) / B)
     return EdfTestReport(family_id=fam.family_id, n=s.n, test_id=key,
                          statistic=observed, p_value=p_value, B=B,
                          seed=int(seed))
+
+
+def _null_rows(fam, params: np.ndarray, n: int, B: int, seeds, kernel,
+               threads: int) -> np.ndarray:
+    """The B null statistics of each seed in ``seeds``, in order:
+    ``null_map`` draws what the generator gives (``pit_draw``), and each
+    evaluation takes its PIT, sorts it in place and runs the kernel.  The
+    tiles of a lone chunk are shared where the PIT is a CDF, whose cost
+    the threads split; a sort and a kernel alone read 22-76 % slower on
+    two threads at n = 200 than on one."""
+    def evaluate(V):
+        U = _sorted(fam.pit_of(params, V))
+        del V  # a sampled family's draw, freed before the kernel runs
+        return (kernel(U),)
+
+    return null_map(fam.pit_draw, [params] * len(seeds), n, B, seeds,
+                    evaluate, threads=threads, budget=2 * _mc.BLOCK,
+                    share_tiles=fam.pit_is_cdf)[0]
 
 
 def _p_value_rows(fam, params: np.ndarray, test_id: str, X: np.ndarray,
@@ -205,9 +225,8 @@ def _p_value_rows(fam, params: np.ndarray, test_id: str, X: np.ndarray,
     _, kernel = _resolve_test(test_id)
     cause, observed = _observed_rows(fam, params, X, kernel)
     rows = np.flatnonzero(cause == OK)
-    null, = null_map(fam.sample_pit, [params] * rows.size, X.shape[1], B,
-                     seeds[rows], lambda U: (kernel(_sorted(U)),),
-                     threads=threads, budget=2 * _mc.BLOCK)
+    null = _null_rows(fam, params, X.shape[1], B, seeds[rows], kernel,
+                      threads)
     # the share of each row's null statistics at or above its observed one
     p_values = np.full(X.shape[0], np.nan)
     p_values[rows] = (null.reshape(-1, B)

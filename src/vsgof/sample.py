@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -38,12 +39,11 @@ class Sample:
     Construction validates the data: at least two observations, all finite,
     with a finite spread max - min (so that every spacing is finite).
     ``sorted_values`` ascending and ``max_tie_run`` (longest run of tied
-    values) are computed once and reused by every estimator.
+    values) are computed on first use, which an EDF test never makes, and
+    reused by every estimator; like ``values`` they are read-only.
     """
 
     values: np.ndarray
-    sorted_values: np.ndarray = field(init=False, repr=False)
-    max_tie_run: int = field(init=False)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=float)
@@ -63,10 +63,18 @@ class Sample:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
-        srt = np.sort(arr)
+
+    # cached in the instance __dict__; the frozen dataclass refuses to set
+    # or delete them
+    @cached_property
+    def sorted_values(self) -> np.ndarray:
+        srt = np.sort(self.values)
         srt.flags.writeable = False
-        object.__setattr__(self, "sorted_values", srt)
-        object.__setattr__(self, "max_tie_run", _max_tie_run(srt))
+        return srt
+
+    @cached_property
+    def max_tie_run(self) -> int:
+        return _max_tie_run(self.sorted_values)
 
     @property
     def n(self) -> int:

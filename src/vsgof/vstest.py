@@ -475,10 +475,11 @@ def _p_value_rows(fam, X: np.ndarray, seeds: np.ndarray, opts: TestOptions,
     if _resolve_p_method(opts, n) == "asymptotic":
         p_values[rows] = _asymptotic_rows(stat, m_hat[rows], n)
         return p_values, cause
-    stats, _, ok = null_map(
+    stats, ok = null_map(
         fam.sample, P[rows] if params is None else [params] * rows.size,
         n, opts.B, seeds[rows],
-        lambda X: _rows(fam, X, params, ms, opts.relax, True)[:3],
+        # (stat, ok): m_hat is not stacked
+        lambda X: _rows(fam, X, params, ms, opts.relax, True)[:3:2],
         threads=threads, budget=_budget(ms))
     # the share of each row's kept null statistics strictly above its
     # observed one; NaN (0 / 0) where every null replicate was discarded

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 import scipy.stats as st
 from scipy.integrate import quad
-from scipy.special import betaincinv, gammaln, psi, zeta
+from scipy.special import (betaincinv, gammainccinv, gammaincinv,
+                           gammaln, psi, zeta)
 
 from vsgof import edf_test, vs_test
 from vsgof.distributions import (
@@ -307,7 +308,12 @@ def test_family_methods_at_the_float_range_edges_leak_no_warning(fid, params):
     assert not np.isnan(log_density(fid, params, x)).any()
     F = cdf(fid, params, x)
     assert ((F >= 0.0) & (F <= 1.0)).all()  # False for NaN
-    quantile(fid, params, [0.0, 5e-324, 1e-300, 0.5, 1.0 - 1e-16, 1.0])
+    # every quantile lies in the closed support (False for NaN)
+    Q = quantile(fid, params, [0.0, 5e-324, 1e-300, 0.5, 1.0 - 1e-16, 1.0])
+    lo, hi = (params if fid == "uniform" else (params[1], np.inf)
+              if fid == "pareto" else resolve_family(fid).fit_interval
+              or (-np.inf, np.inf))
+    assert ((Q >= lo) & (Q <= hi)).all(), Q
 
 
 @pytest.mark.parametrize("method, fid, params, x, want", [
@@ -332,6 +338,33 @@ def test_overflow_gives_the_limit(method, fid, params, x, want):
 def test_gamma_cdf_at_a_tiny_shape_is_at_most_one(shape, x):
     # scipy's gammainc reads 1 + 2.4e-14, 1 + 2.4e-14 and 1 + 1.3e-15 here
     assert cdf("gamma", (shape, 1.0), [x]).tolist() == [1.0]
+
+
+def _f_of(d1, d2, y):
+    return d2 * y / (d1 * (1.0 - y))
+
+
+@pytest.mark.parametrize("fid, params, q, want", [
+    # betaincinv is NaN, and the small-q series gave 3.4e297, 1.45e297,
+    # 1.016, -1.1e-301 and -inf: the one-sided gamma limit instead
+    ("beta", (300.0, 1e300), 0.5, gammaincinv(300.0, 0.5) / 1e300),
+    ("beta", (700.0, 1e300), 0.5, gammaincinv(700.0, 0.5) / 1e300),
+    ("beta", (300.0, 1e-300), 1e-300,
+     1.0 - gammainccinv(1e-300, 1e-300) / 300.0),
+    ("fisher", (300.0, 1e-300), 1e-300,
+     _f_of(300.0, 1e-300, 1.0 - gammainccinv(5e-301, 1e-300) / 150.0)),
+    ("fisher", (300.0, 1e300), 5e-324,
+     _f_of(300.0, 1e300, gammaincinv(150.0, 5e-324) / 5e299)),
+    ("fisher", (300.0, 1e300), 0.5,
+     _f_of(300.0, 1e300, gammaincinv(150.0, 0.5) / 5e299)),
+    # betaincinv is the smallest normal float, and the series overflowed
+    # to a NaN quantile
+    ("fisher", (1e-300, 700.0), 1.0 - 1e-16, 0.0),
+    # a + (b - a) q rounded to 0 where b - a rounds to -a
+    ("uniform", (-1e300, -700.0), 1.0, -700.0),
+])
+def test_quantile_at_extreme_shapes_in_the_support(fid, params, q, want):
+    assert quantile(fid, params, [q]).tolist() == [want]
 
 
 @pytest.mark.parametrize("run", [

@@ -1,5 +1,6 @@
 """Tests for the distance-based (EDF) companion tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from vsgof.edf import (
     ks_statistic,
 )
 from vsgof.errors import DataError, ParameterError
+from vsgof.sample import Sample
 from vsgof.vstest import vs_test
 
 
@@ -222,6 +224,61 @@ def test_p_value_is_that_of_the_cdf_of_the_family_draw(uncached, fid, test_id, n
     assert report.p_value == want
     rows, _ = _p_value_rows(fam, p, test_id, x[None, :], np.array([seed]), B)
     assert rows[0] == want
+
+
+# the statistic (float.hex) and p-value of ks, cvm and ad at n = 200 and
+# B = 200 for the families with their own sampler, recorded when the null
+# PIT was still taken inside the draw: data from default_rng(data_seed)
+# under ORACLE_PARAMS, Monte-Carlo seed ``seed``
+SAMPLED_PINS = {
+    "beta": (2024, 43, [("0x1.dcd4c655c9100p-5", 0.485),
+                        ("0x1.9e945ed2978b4p-4", 0.585),
+                        ("0x1.60ba0de89ee00p-1", 0.565)]),
+    "fisher": (2025, 44, [("0x1.4cf5e39e5c8d0p-5", 0.87),
+                          ("0x1.1fd87afed9132p-4", 0.72),
+                          ("0x1.ca2eae0522800p-2", 0.785)]),
+    "gamma": (2026, 45, [("0x1.00cc409dcc878p-4", 0.36),
+                         ("0x1.035168146f1b7p-3", 0.435),
+                         ("0x1.7c60afebe4800p-1", 0.505)]),
+    "lognormal": (2027, 46, [("0x1.73a9ab2144b10p-5", 0.785),
+                             ("0x1.ccef23245013bp-5", 0.83),
+                             ("0x1.a8fb9fcbd7a00p-2", 0.855)]),
+    "normal": (2028, 47, [("0x1.46c6152b9b2c0p-4", 0.16),
+                          ("0x1.110977a0d02ffp-2", 0.22),
+                          ("0x1.6c9ff01aa4e00p+0", 0.23)]),
+}
+
+
+@pytest.mark.parametrize("fid", sorted(ORACLE_PARAMS))
+def test_a_lone_tiled_null_chunk_keeps_its_bits_on_two_threads(uncached, fid):
+    # n = 200, B = 200: one seeded chunk in two tiles; for a family with
+    # its own sampler two threads draw them in turn and evaluate them at
+    # once, taking the PIT (the CDF) in the evaluation
+    data_seed, seed, pins = SAMPLED_PINS.get(fid, (2030, 48, None))
+    fam = dist.resolve_family(fid)
+    x = fam.sample(fam.validate_params(ORACLE_PARAMS[fid]), 200,
+                   np.random.default_rng(data_seed))
+    got = {threads: [edf_test(x, fid, ORACLE_PARAMS[fid], test_id, B=200,
+                              seed=seed, threads=threads)
+                     for test_id in ("ks", "cvm", "ad")]
+           for threads in (1, 2)}
+    assert got[1] == got[2]
+    if pins is not None:
+        assert [(r.statistic.hex(), r.p_value) for r in got[2]] == pins
+
+
+def test_an_edf_test_sorts_no_sample():
+    # the order statistics and the tie run of a Sample are computed on first
+    # use, which an EDF test does not make; once made they are read-only
+    s = Sample(np.random.default_rng(49).exponential(size=20))
+    edf_test(s, "exponential", (1.0,), "ad", B=20, seed=1)
+    assert "sorted_values" not in vars(s) and "max_tie_run" not in vars(s)
+    assert s.sorted_values.tolist() == sorted(s.values.tolist())
+    assert s.max_tie_run == 1 and not s.has_ties
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.sorted_values = np.zeros(20)
+    with pytest.raises(ValueError):
+        s.sorted_values[0] = 0.0
 
 
 def test_uniform_null_wider_than_the_float_range():

@@ -9,6 +9,7 @@ the window rule into ``vstest._select_rows``.  They are compared with
 import math
 import os
 import signal
+import sys
 import threading
 import time
 
@@ -506,6 +507,140 @@ def test_threads_raise_the_error_a_serial_run_raises(threads):
     with pytest.raises(ValueError, match="item 3"):
         vsgof._mc._run_all(fn, list(range(12)), threads)
     assert set(range(4)) <= set(ran) and len(ran) < 12
+
+
+def _lone_chunk(fid, threads, budget, evaluate=lambda X: (X,), draw=None):
+    # B = 200 at n = 13: one seeded chunk, cut by the budget into tiles
+    fam = resolve_family(fid)
+    return vsgof._mc.null_map(
+        draw or fam.sample, [fam.validate_params(TILE_PARAMS[fid])], 13, 200,
+        [26], evaluate, threads=threads, budget=budget, share_tiles=True)[0]
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+@pytest.mark.parametrize("tiles", [2, 3, 4, 5])
+@pytest.mark.parametrize("fid", ["gamma", "beta", "fisher", "normal"])
+def test_a_lone_chunk_shares_its_tiles_bit_for_bit(fresh_pools, fid, tiles,
+                                                   threads):
+    # a lone chunk's tiles are drawn in turn, by whichever thread evaluates
+    # them, from the chunk's one generator; these samplers take a varying
+    # number of generator values per draw, so a tile drawn out of turn
+    # would move every later bit
+    budget = -(-200 // tiles) * 13  # the fewest tiles of this many rows
+
+    def evaluate(X):
+        time.sleep(0.002)  # let the threads interleave
+        return (X,)
+
+    fam = resolve_family(fid)
+    (_, child), = vsgof._mc.seed_chunks(26, 200)
+    whole = fam.sample(fam.validate_params(TILE_PARAMS[fid]), (200, 13),
+                       np.random.default_rng(child))
+    serial = _lone_chunk(fid, 1, budget)
+    assert serial.tobytes() == whole.tobytes()
+    assert _lone_chunk(fid, threads, budget, evaluate).tobytes() \
+        == whole.tobytes()
+
+
+def test_one_row_tiles_are_drawn_in_turn_under_stress(fresh_pools):
+    # 200 one-row tiles on three threads, which switch every microsecond:
+    # a tile taken by one thread and drawn after a later tile drawn by
+    # another would move the bits
+    fam = resolve_family("gamma")
+    (_, child), = vsgof._mc.seed_chunks(26, 200)
+    whole = fam.sample(fam.validate_params(TILE_PARAMS["gamma"]), (200, 13),
+                       np.random.default_rng(child))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [_lone_chunk("gamma", 3, 13).tobytes() for _ in range(10)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs == [whole.tobytes()] * 10
+
+
+def test_only_a_lone_tiled_chunk_shares_its_tiles(fresh_pools, uncached,
+                                                  monkeypatch):
+    # at threads = 1, for a chunk of one tile, for a job of several blocks
+    # and where the caller does not ask, null_map runs its blocks as
+    # before: no turns are taken.  The EDF callers ask where the PIT is a
+    # CDF; the vs callers never do
+    turns = []
+    in_turn = vsgof._mc._in_turn
+    monkeypatch.setattr(vsgof._mc, "_in_turn",
+                        lambda *args: turns.append(1) or in_turn(*args))
+    fam = resolve_family("normal")
+    p = fam.validate_params((0.5, 1.7))
+
+    def shared(threads, B, seeds, budget, share_tiles=True):
+        before = len(turns)
+        vsgof._mc.null_map(fam.sample, [p] * len(seeds), 13, B, seeds,
+                           lambda X: (X,), threads=threads, budget=budget,
+                           share_tiles=share_tiles)
+        return len(turns) - before
+
+    def taken(run):
+        before = len(turns)
+        run()
+        return len(turns) - before
+
+    assert shared(2, 200, [1], 13 * 50) == 1  # four tiles
+    assert shared(2, 200, [1], 13 * 50, share_tiles=False) == 0
+    assert shared(1, 200, [1], 13 * 50) == 0
+    assert shared(2, 200, [1], 13 * 200) == 0  # one tile
+    assert shared(2, 300, [1], 13 * 50) == 0  # two chunks
+    assert shared(2, 200, [1, 2], 13 * 50) == 0  # two replicates
+    # n = 200, B = 200: one EDF chunk in two tiles; B = 225 and the
+    # default windows: one vs chunk in two tiles
+    rng = np.random.default_rng(5)
+    x = rng.gamma(2.5, 1.5, 200)
+    assert taken(lambda: edf_test(x, "gamma", (2.5, 1.5), "ks", B=200,
+                                  seed=11, threads=2)) == 1
+    assert taken(lambda: edf_test(x, "exponential", (1.0,), "ks", B=200,
+                                  seed=11, threads=2)) == 0
+    assert taken(lambda: vs_test(rng.beta(2.0, 3.0, 200), "beta", B=225,
+                                 seed=11, simulate_p_value=True,
+                                 threads=2)) == 0
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_a_failed_tile_draw_raises_and_frees_the_waiting_threads(
+        fresh_pools, monkeypatch, threads):
+    # the draw of the second tile fails: the turn passes on all the same,
+    # so no thread waits for it, and its error is raised
+    fam = resolve_family("gamma")
+    draws, outcome = [], []
+
+    class Patient(threading.Condition):
+        # were the turn never passed on, a waiting pool thread is let go
+        # after the test has failed, so that the pool can shut down
+        def wait_for(self, predicate, timeout=None):
+            return super().wait_for(predicate, timeout or 40.0)
+
+    monkeypatch.setattr(vsgof._mc.threading, "Condition", Patient)
+
+    def draw(params, size, rng):
+        draws.append(size)
+        if len(draws) == 2:
+            time.sleep(0.05)  # while another thread takes the third tile
+            raise ValueError("tile 2")
+        return fam.sample(params, size, rng)
+
+    def evaluate(X):
+        time.sleep(0.01)
+        return (X,)
+
+    def run():
+        try:
+            _lone_chunk("gamma", threads, 13 * 40, evaluate, draw)
+        except ValueError as error:
+            outcome.append(error)
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=20)
+    assert not caller.is_alive(), "the tiles' threads hang"
+    assert [str(e) for e in outcome] == ["tile 2"]
 
 
 # ---------------------------------------------------------------------------
