@@ -2,7 +2,12 @@
 
 A job of ``total`` replicates is cut into chunks of ``chunk`` replicates
 (the last one partial), chunk k drawing from child k of the job's
-``SeedSequence``: ``seed_chunks`` is that rule, written once.  Every null
+``SeedSequence``: ``seed_chunks`` is that rule, written once.  A job of
+several seeds (a power chunk's) hashes the children of all of them in one
+vectorized pass of SeedSequence's algorithm, which NEP 19 froze, and
+gives each chunk's ``PCG64`` the state words its child would: one
+``SeedSequence`` costs ~10 us of Python, the pass ~0.1 ms whatever its
+size, so a job of one seed keeps ``seed_chunks``.  Every null
 simulation runs on one schedule, ``null_map``: a replicate's (B, n) null
 matrix is drawn in chunks of ``CHUNK`` = 256 rows from its own seed, as
 ``vs_test`` and ``edf_test`` draw it, and a power cell stacks those of
@@ -128,6 +133,56 @@ def seed_chunks(seed, total: int, chunk: int = CHUNK
             for k, size in enumerate(sizes)]
 
 
+# SeedSequence's hash (NumPy's bit_generator, frozen by NEP 19): the
+# successive constants of its hashmix steps, 20 steps to mix five entropy
+# words into a pool of four and 8 for generate_state(4, uint64)
+_MIX_CONSTANTS = np.array([0x43b0d7e5 * 0x931e8875 ** i & 0xFFFFFFFF
+                           for i in range(21)], dtype=np.uint32)
+_STATE_CONSTANTS = np.array([0x8b51f9dd * 0x58f38ded ** i & 0xFFFFFFFF
+                             for i in range(9)], dtype=np.uint32)
+
+
+def _child_words(seeds, count: int) -> np.ndarray:
+    """(len(seeds), count, 4) uint64: ``SeedSequence(seed, spawn_key=(k,))
+    .generate_state(4, np.uint64)`` for each seed below 2**64 and k <
+    count, hashed at once over the entropy [seed mod 2**32, seed >> 32, 0,
+    0, k] (a seed of 2**64 or more has more words)."""
+    def hashmix(value, h, j, width):
+        # width steps from step j, each xoring its constant and
+        # multiplying by the advanced one
+        value = (value ^ h[j:j + width]) * h[j + 1:j + 1 + width]
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = x * np.uint32(0xca01f9dd) - y * np.uint32(0x4973f715)
+        return r ^ r >> 16
+
+    E = np.zeros((len(seeds), count, 5), dtype=np.uint32)
+    E[..., :2] = (np.asarray(seeds, dtype=np.uint64)[:, None, None]
+                  >> np.uint64([0, 32]) & 0xFFFFFFFF)
+    E[..., 4] = np.arange(count)
+    E = E.reshape(-1, 5)
+    pool = hashmix(E[:, :4], _MIX_CONSTANTS, 0, 4)
+    for src in range(4):  # each pool word into the other three, in order
+        dst = [d for d in range(4) if d != src]
+        pool[:, dst] = mix(pool[:, dst], hashmix(
+            pool[:, src, None], _MIX_CONSTANTS, 4 + 3 * src, 3))
+    pool = mix(pool, hashmix(E[:, 4:], _MIX_CONSTANTS, 16, 4))
+    state = hashmix(np.tile(pool, 2), _STATE_CONSTANTS, 0, 8)
+    return (np.ascontiguousarray(state, "<u4").view("<u8")
+            .astype(np.uint64).reshape(-1, count, 4))
+
+
+class _Words(np.random.bit_generator.ISeedSequence):
+    """A child's state words: all that ``PCG64`` asks of a seed sequence."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def null_map(draw, params_rows, n: int, B: int, seeds, evaluate, *,
              threads: int = 1, budget: int | None = None,
              share_tiles: bool = False) -> tuple[np.ndarray, ...]:
@@ -136,7 +191,11 @@ def null_map(draw, params_rows, n: int, B: int, seeds, evaluate, *,
     Replicate r's matrix is the one a test with null parameters
     ``params_rows[r]`` and seed ``seeds[r]`` simulates: the rows of its
     seeded chunks, each chunk ``draw(params, (size, n), rng)`` (a family's
-    ``sample``, or its ``pit_draw``).  ``evaluate(X)`` maps a block of
+    ``sample``, or its ``pit_draw``), rng a ``PCG64`` generator of the
+    chunk's child.  With several seeds, each below 2**64, the children's
+    state words come from one vectorized pass (``_child_words``), the
+    words their ``SeedSequence`` would give; one seed keeps
+    ``seed_chunks``, cheaper than that pass.  ``evaluate(X)`` maps a block of
     stacked rows, a fresh array it may overwrite, to a tuple of per-row
     arrays; each array comes back with the rows of every replicate in
     order (empty for no replicate).  ``budget`` (``BLOCK`` if None) bounds
@@ -152,9 +211,16 @@ def null_map(draw, params_rows, n: int, B: int, seeds, evaluate, *,
     B = check_count(B, "B")
     threads = check_count(threads, "threads")
     budget = BLOCK if budget is None else budget
+    seeds = [check_seed(seed) for seed in seeds]
+    if len(seeds) > 1 and max(seeds) < 2 ** 64:
+        sizes = [min(CHUNK, B - i) for i in range(0, B, CHUNK)]
+        chunks = [list(zip(sizes, map(_Words, words)))
+                  for words in _child_words(seeds, len(sizes))]
+    else:
+        chunks = [seed_chunks(seed, B) for seed in seeds]
     blocks, values = [], budget
-    for params, seed in zip(params_rows, seeds):
-        for size, child in seed_chunks(seed, B):
+    for params, children in zip(params_rows, chunks):
+        for size, child in children:
             if values + size * n > budget:
                 blocks.append([])
                 values = 0

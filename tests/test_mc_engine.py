@@ -389,6 +389,55 @@ def test_seed_chunks_are_the_spawned_children(seed, k):
                 == spawned.generate_state(8).tobytes())
 
 
+@pytest.mark.parametrize("seeds", [
+    [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1],
+    [int(s) for s in np.random.default_rng(25).integers(2 ** 63, size=1000)],
+], ids=["edges", "random"])
+def test_child_words_are_the_seed_sequence_children(seeds):
+    # a job of several seeds hashes its chunks' children at once: the
+    # state words of SeedSequence(seed, spawn_key=(k,)), and a generator
+    # seeded from them draws as one seeded from that child
+    words = vsgof._mc._child_words(seeds, 40)
+    assert words.shape == (len(seeds), 40, 4)
+    for seed, rows in zip(seeds, words):
+        for k, w in enumerate(rows):
+            child = np.random.SeedSequence(seed, spawn_key=(k,))
+            assert (w.tobytes()
+                    == child.generate_state(4, np.uint64).tobytes())
+            drawn = np.random.default_rng(vsgof._mc._Words(w))
+            assert (drawn.bit_generator.random_raw(8).tobytes()
+                    == np.random.default_rng(child)
+                    .bit_generator.random_raw(8).tobytes())
+
+
+def test_only_jobs_of_several_seeds_below_2_64_hash_at_once(monkeypatch):
+    # a one-seed job keeps seed_chunks, and so does a job with a seed of
+    # 2**64 or more, whose entropy has more words; the rows are the same
+    # either way
+    calls = []
+    child_words = vsgof._mc._child_words
+    monkeypatch.setattr(vsgof._mc, "_child_words",
+                        lambda *args: calls.append(args) or child_words(*args))
+    fam = resolve_family("normal")
+    p = fam.validate_params((0.5, 1.7))
+
+    def rows(seeds):  # B = 300: two chunks per seed
+        return vsgof._mc.null_map(fam.sample, [p] * len(seeds), 7, 300,
+                                  seeds, lambda X: (X.sum(axis=1),))[0]
+
+    seeds = [3, 2 ** 63 - 1, 2 ** 64 - 1, 2 ** 64 + 5]
+    alone = {seed: rows([seed]) for seed in seeds}
+    assert not calls
+    assert (rows(np.array(seeds[:2])).tobytes()
+            == np.concatenate([alone[s] for s in seeds[:2]]).tobytes())
+    assert (rows(seeds[:3]).tobytes()
+            == np.concatenate([alone[s] for s in seeds[:3]]).tobytes())
+    assert len(calls) == 2
+    assert (rows(seeds).tobytes()
+            == np.concatenate([alone[s] for s in seeds]).tobytes())
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # the kept thread pools
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vsgof import distributions, edf_test, vs_test
+from vsgof import distributions, edf, edf_test, vs_test, vstest
 from vsgof._mc import CELL_CHUNK, seed_chunks
 from vsgof.errors import DataError, ParameterError, VsgofError
 from vsgof.power import (
@@ -482,7 +482,10 @@ def test_power_table_pinned(path, threads):
 # One small scenario per test id, each with replicates that end in errors:
 # constraint failures and all null replicates discarded (vs, composite
 # beta), data outside the support (ks), a degenerate PIT (cvm) and
-# non-finite draws (ad).
+# non-finite draws (ad).  Two more run at B = 300, so that each
+# replicate's null draws from its seed's children 0 and 1, both hashed at
+# once for the chunk: a simple-null vs cell with data outside the
+# support, and the ad cell.
 
 ORACLE_SCENARIOS = {
     "vs": dict(null_family="dbeta", alt_family="dbeta",
@@ -494,6 +497,12 @@ ORACLE_SCENARIOS = {
     "ad": dict(null_family="dpareto", null_params=(1.0, 1.0),
                alt_family="dpareto", alt_params=(0.005, 1.0),
                n_values=(10,)),
+    "vs-B300": dict(tests=("vs",), null_family="dexp", null_params=(1.0,),
+                    alt_family="dnorm", alt_params=(1.5, 1.0),
+                    n_values=(8, 20), B=300),
+    "ad-B300": dict(tests=("ad",), null_family="dpareto",
+                    null_params=(1.0, 1.0), alt_family="dpareto",
+                    alt_params=(0.005, 1.0), n_values=(10,), B=300),
 }
 
 
@@ -525,11 +534,12 @@ def _one_call_per_replicate(scn, n, test, cell_seed):
     return rejections, errors
 
 
-@pytest.mark.parametrize("test", sorted(ORACLE_SCENARIOS))
-def test_power_cells_match_one_call_per_replicate(test):
-    scn = PowerScenario(**{**dict(name=f"oracle-{test}", tests=(test,),
+@pytest.mark.parametrize("case", sorted(ORACLE_SCENARIOS))
+def test_power_cells_match_one_call_per_replicate(case):
+    scn = PowerScenario(**{**dict(name=f"oracle-{case}", tests=(case,),
                                   replicates=60, B=60, seed=8),
-                           **ORACLE_SCENARIOS[test]})
+                           **ORACLE_SCENARIOS[case]})
+    test, = scn.tests
     table = run_power_study(scn)
     cell_seeds = np.random.SeedSequence(scn.seed).spawn(len(scn.n_values))
     total_errors = 0
@@ -539,3 +549,45 @@ def test_power_cells_match_one_call_per_replicate(test):
             scn, n, test, cell_seed)
         total_errors += row.errors
     assert total_errors > 0
+
+
+@pytest.mark.parametrize("test, module", [("vs", vstest), ("ks", edf)])
+def test_a_chunk_with_one_surviving_replicate(monkeypatch, test, module):
+    # five of the six replicates hold data outside the dexp support, so
+    # the chunk passes null_map a job of one seed, which keeps seed_chunks'
+    # children
+    jobs, null_map = [], module.null_map
+    monkeypatch.setattr(module, "null_map", lambda *args, **kwargs: (
+        jobs.append(len(args[4])) or null_map(*args, **kwargs)))
+    scn = PowerScenario(name=f"one-survivor-{test}", tests=(test,),
+                        null_family="dexp", null_params=(1.0,),
+                        alt_family="dnorm", alt_params=(0.5, 1.0),
+                        n_values=(8,), replicates=6, B=300, seed=2)
+    row = run_power_study(scn).row(8, test)
+    assert jobs == [1] and row.errors == 5
+    cell_seed, = np.random.SeedSequence(scn.seed).spawn(1)
+    assert (row.rejections, row.errors) == _one_call_per_replicate(
+        scn, 8, test, cell_seed)
+
+
+# ---------------------------------------------------------------------------
+# a seed of 2**64 or more has more entropy words than the power path hashes
+# at once: single tests with one keep seed_chunks' children (values of the
+# seeding before power chunks were hashed at once)
+
+
+@pytest.mark.parametrize("fixed_params, p_value", [
+    (None, 0.26666666666666666), ((2.5, 1.0), 0.37333333333333335)])
+def test_vs_test_with_a_seed_above_2_64_pinned(fixed_params, p_value):
+    x = np.random.default_rng(31).gamma(2.5, 1.0, size=30)
+    r = vs_test(x, "gamma", fixed_params=fixed_params, B=300,
+                seed=2 ** 64 + 5)
+    assert (r.p_value, r.ignored_replicates) == (p_value, 0)
+
+
+@pytest.mark.parametrize("test, p_value", [
+    ("ks", 0.7733333333333333), ("cvm", 0.76), ("ad", 0.7933333333333333)])
+def test_edf_test_with_a_seed_above_2_64_pinned(test, p_value):
+    y = np.random.default_rng(32).normal(size=40)
+    assert edf_test(y, "normal", (0.0, 1.0), test, B=300,
+                    seed=2 ** 64 + 5).p_value == p_value
