@@ -43,10 +43,26 @@ evaluates a tile draws it, in turn, from the chunk's one generator, so
 that the draws keep their order and the evaluations run at once.  The
 EDF callers ask where the PIT is a family CDF, which releases the GIL;
 a vs evaluation runs Python for each window, and two of its tiles at
-once read slower than one after the other.  Every evaluation is
-row-wise, a row's result never depending on the rows stacked with it,
-so neither the grouping, the tiling nor the thread count changes a bit;
-the seed and the chunk size are the contract.
+once read slower than one after the other.
+
+A power cell counts only whether each replicate's p-value is at most
+alpha, so its simulation is curtailed (Besag & Clifford 1991): once k
+null statistics reach a replicate's observed one with k / B > alpha,
+its p-value can only exceed alpha, and it draws no later row.  The
+schedule runs in rounds, after each of which the caller's ``settle``
+counts and decides.  A round draws the next tile of every live
+replicate, about ``TILE`` = 50 rows inside one chunk from the chunk's
+one generator, in the thread that evaluates it, and evaluates the tiles
+stacked in the fewest even blocks of at most the budget.  Once the live
+replicates would fill less than one evaluation the tile grows to fill
+it, so that a high-power cell, whose replicates seldom stop, pays few
+rounds.  Tiles of 40-64 rows read alike on the benchmark's power cells,
+25 or 100 rows 3-6 % slower.
+
+Every evaluation is row-wise, a row's result never depending on the
+rows stacked with it, so neither the grouping, the tiling, the rounds
+nor the thread count changes a bit; the seed and the chunk size are the
+contract.
 
 Null references take two paths on purpose.  A single test's depends on
 its key (family, parameters, n, options, B, seed), not on the data:
@@ -69,6 +85,8 @@ from .errors import ParameterError
 
 CHUNK = 256  # replicates per chunk of the vs and EDF null simulations
 CELL_CHUNK = 50  # replicates per chunk of a power-study cell
+# rows per replicate in a round of a curtailed null simulation, at least
+TILE = 50
 # null values (rows x n), 128 KiB: the budget of an evaluation whose
 # caller names none, and the unit of the package's budgets, two per EDF
 # evaluation and one per candidate window of a vs one; larger ones were
@@ -185,7 +203,8 @@ class _Words(np.random.bit_generator.ISeedSequence):
 
 def null_map(draw, params_rows, n: int, B: int, seeds, evaluate, *,
              threads: int = 1, budget: int | None = None,
-             share_tiles: bool = False) -> tuple[np.ndarray, ...]:
+             share_tiles: bool = False, settle=None
+             ) -> tuple[np.ndarray, ...] | None:
     """``evaluate`` over the (B, n) null matrices of several replicates.
 
     Replicate r's matrix is the one a test with null parameters
@@ -201,12 +220,18 @@ def null_map(draw, params_rows, n: int, B: int, seeds, evaluate, *,
     order (empty for no replicate).  ``budget`` (``BLOCK`` if None) bounds
     the values of every evaluation: the chunks go to blocks of at most
     ``budget`` values, or a larger chunk to tiles of at most ``budget``,
-    and those to the thread pool.  With ``share_tiles``, at ``threads``
-    >= 2, the tiles of a lone chunk are the pool's items instead, each
-    drawn in turn by the thread that evaluates it: for an evaluation that
-    spends its time in numpy calls that release the GIL, such as an EDF
-    null's CDF.  Neither the grouping, the tiling nor the thread that
-    draws a tile is part of the contract.
+    and those to the thread pool.  With
+    ``share_tiles``, at ``threads`` >= 2, the tiles of a lone chunk are
+    the pool's items instead, each drawn in turn by the thread that
+    evaluates it: for an evaluation that spends its time in numpy calls
+    that release the GIL, such as an EDF null's CDF.
+
+    With ``settle`` the simulation is curtailed, in rounds, and returns
+    None: ``settle(owner, *arrays)`` takes each round's per-row arrays
+    and the replicate of each row, and returns a boolean array over the
+    replicates, True for those settled, which draw no later row.  Neither
+    the grouping, the tiling, the rounds nor the thread that draws a tile
+    is part of the contract.
     """
     B = check_count(B, "B")
     threads = check_count(threads, "threads")
@@ -218,14 +243,6 @@ def null_map(draw, params_rows, n: int, B: int, seeds, evaluate, *,
                   for words in _child_words(seeds, len(sizes))]
     else:
         chunks = [seed_chunks(seed, B) for seed in seeds]
-    blocks, values = [], budget
-    for params, children in zip(params_rows, chunks):
-        for size, child in children:
-            if values + size * n > budget:
-                blocks.append([])
-                values = 0
-            blocks[-1].append((params, size, child))
-            values += size * n
 
     def tiles(size):
         # the fewest even tiles of at most budget values (one row if a row
@@ -236,32 +253,61 @@ def null_map(draw, params_rows, n: int, B: int, seeds, evaluate, *,
 
     def run(block):
         if len(block) != 1:
-            # chunks that fit in the budget together; for no replicate one
+            # items that fit in the budget together; for no replicate one
             # empty block, so that the arrays still come back
             return [evaluate(np.concatenate(
-                [draw(params, (size, n), np.random.default_rng(child))
-                 for params, size, child in block] or [np.empty((0, n))]))]
-        # one chunk: its tiles drawn in order from the chunk's one
-        # generator, which fills arrays sequentially
-        (params, size, child), = block
-        rng = np.random.default_rng(child)
+                [draw(params, (size, n), np.random.default_rng(source))
+                 for params, size, source in block] or [np.empty((0, n))]))]
+        # one item, of a chunk's child or of its generator: its tiles drawn
+        # in order from that one generator, which fills arrays sequentially
+        (params, size, source), = block
+        rng = np.random.default_rng(source)
         return [evaluate(draw(params, (rows, n), rng)) for rows in tiles(size)]
 
-    if (share_tiles and threads > 1 and len(blocks) == 1
-            and len(blocks[0]) == 1):
-        (params, size, child), = blocks[0]
-        sizes = tiles(size)
-        if len(sizes) > 1:
-            # a lone chunk of several tiles: the tiles are the pool's
-            # items, each drawn in turn from the chunk's one generator by
-            # the thread that evaluates it
-            rng = np.random.default_rng(child)
-            return tuple(map(np.concatenate, zip(*_run_all(
-                _in_turn(lambda rows: draw(params, (rows, n), rng), evaluate),
-                list(enumerate(sizes)), threads))))
-    return tuple(map(np.concatenate, zip(*(
-        out for part in _run_all(run, blocks or [[]], threads)
-        for out in part))))
+    def run_all(blocks):
+        return tuple(map(np.concatenate, zip(*(
+            out for part in _run_all(run, blocks or [[]], threads)
+            for out in part))))
+
+    if settle is None:
+        blocks, values = [], budget
+        for params, children in zip(params_rows, chunks):
+            for size, child in children:
+                if values + size * n > budget:
+                    blocks.append([])
+                    values = 0
+                blocks[-1].append((params, size, child))
+                values += size * n
+        if (share_tiles and threads > 1 and len(blocks) == 1
+                and len(blocks[0]) == 1):
+            (params, size, child), = blocks[0]
+            sizes = tiles(size)
+            if len(sizes) > 1:
+                # a lone chunk of several tiles: the tiles are the pool's
+                # items, each drawn in turn from the chunk's one generator
+                # by the thread that evaluates it
+                rng = np.random.default_rng(child)
+                return tuple(map(np.concatenate, zip(*_run_all(
+                    _in_turn(lambda rows: draw(params, (rows, n), rng),
+                             evaluate),
+                    list(enumerate(sizes)), threads))))
+        return run_all(blocks)
+    # curtailed rounds: every live replicate is at row ``at`` of its null
+    live, at = list(range(len(seeds))), 0
+    while live and at < B:
+        if at % CHUNK == 0:
+            rngs = {r: np.random.default_rng(chunks[r][at // CHUNK][1])
+                    for r in live}
+        left = min(at - at % CHUNK + CHUNK, B) - at
+        rows = max(TILE, budget // (n * len(live)))
+        rows = -(-left // max(left // rows, 1))
+        per = max(budget // (rows * n), 1)
+        per = -(-len(live) // -(-len(live) // per))
+        items = [(params_rows[r], rows, rngs[r]) for r in live]
+        done = settle(np.repeat(live, rows), *run_all(
+            [items[i:i + per] for i in range(0, len(live), per)]))
+        live, at = [r for r in live if not done[r]], at + rows
+    return None
 
 
 def _in_turn(draw, evaluate):

@@ -188,7 +188,7 @@ def edf_test(x: "Sample | np.ndarray", family: str, params, test_id: str, *,
     observed, s, fam, p = _statistic(x, family, params, kernel)
     ref, _ = null_reference(
         (fam.family_id, p.tobytes(), s.n, key), B, seed, threads,
-        lambda: (_null_rows(fam, p, s.n, B, [seed], kernel, threads), B))
+        lambda: (_null_rows(fam, p, s.n, B, [seed], kernel, threads)[0], B))
     # the share of the B null statistics at or above the observed one
     p_value = float((ref.size - np.searchsorted(ref, observed, "left")) / B)
     return EdfTestReport(family_id=fam.family_id, n=s.n, test_id=key,
@@ -197,8 +197,9 @@ def edf_test(x: "Sample | np.ndarray", family: str, params, test_id: str, *,
 
 
 def _null_rows(fam, params: np.ndarray, n: int, B: int, seeds, kernel,
-               threads: int) -> np.ndarray:
-    """The B null statistics of each seed in ``seeds``, in order:
+               threads: int, settle=None) -> tuple[np.ndarray] | None:
+    """The B null statistics of each seed in ``seeds``, in order, as
+    ``null_map``'s one-array tuple (None where ``settle`` curtails it):
     ``null_map`` draws what the generator gives (``pit_draw``), and each
     evaluation takes its PIT, sorts it in place and runs the kernel.  The
     tiles of a lone chunk are shared where the PIT is a CDF, whose cost
@@ -211,24 +212,38 @@ def _null_rows(fam, params: np.ndarray, n: int, B: int, seeds, kernel,
 
     return null_map(fam.pit_draw, [params] * len(seeds), n, B, seeds,
                     evaluate, threads=threads, budget=2 * _mc.BLOCK,
-                    share_tiles=fam.pit_is_cdf)[0]
+                    share_tiles=fam.pit_is_cdf, settle=settle)
 
 
 def _p_value_rows(fam, params: np.ndarray, test_id: str, X: np.ndarray,
-                  seeds: np.ndarray, B: int, *, threads: int = 1
+                  seeds: np.ndarray, B: int, *, threads: int = 1,
+                  alpha: float | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
     """The p-value of :func:`edf_test` on every row of X at once, row i with
     seed ``seeds[i]``, and the cause of each row; the p-value is NaN
     exactly where ``edf_test`` raises a ``VsgofError``.  The null
     replicates of all rows run through one ``vsgof._mc.null_map`` on
-    ``threads`` threads, each row's drawn as ``edf_test`` draws them."""
+    ``threads`` threads, each row's drawn as ``edf_test`` draws them.
+    With an ``alpha`` that simulation is curtailed: a row stops once its
+    p-value can only exceed alpha, so the p-value is exact wherever it is
+    <= alpha, and elsewhere a lower bound above alpha."""
     _, kernel = _resolve_test(test_id)
     cause, observed = _observed_rows(fam, params, X, kernel)
     rows = np.flatnonzero(cause == OK)
-    null = _null_rows(fam, params, X.shape[1], B, seeds[rows], kernel,
-                      threads)
-    # the share of each row's null statistics at or above its observed one
+    observed, above = observed[rows], np.zeros(rows.size, dtype=np.int64)
+
+    def settle(owner, null):
+        # each row's null statistics at or above its observed one: a row
+        # is settled once their share fails the table's test p <= alpha
+        above[:] += np.bincount(owner[null >= observed[owner]],
+                                minlength=rows.size)
+        return None if alpha is None else ~(above / B <= alpha)
+
+    job = (fam, params, X.shape[1], B, seeds[rows], kernel, threads)
+    if alpha is None:
+        settle(np.repeat(np.arange(rows.size), B), *_null_rows(*job))
+    else:
+        _null_rows(*job, settle)
     p_values = np.full(X.shape[0], np.nan)
-    p_values[rows] = (null.reshape(-1, B)
-                      >= observed[rows, None]).sum(1) / B
+    p_values[rows] = above / B
     return p_values, cause

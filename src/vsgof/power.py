@@ -36,10 +36,12 @@ seed sequence and runs, in order, in seeded chunks of ``CELL_CHUNK`` = 50
 replicates, each replicate drawing its inner Monte-Carlo seed from the
 chunk stream right after its sample.  A chunk's null matrices are
 stacked in one ``vsgof._mc.null_map``, each drawn from its own inner seed
-exactly as ``vs_test``/``edf_test`` would draw it; ``threads`` shares
-only that call's evaluations, so results are bitwise identical for any
-value.  Every replicate keeps the p-value, or the error, of its own test
-call, so the tables equal those of one call per replicate.
+exactly as ``vs_test``/``edf_test`` would draw it, and curtailed: a
+replicate's null stops once its p-value can only exceed ``alpha``.  The
+rows that are drawn keep their bits, so every replicate keeps the
+decision p <= alpha, or the error, of its own test call, and the tables
+equal those of one call per replicate; ``threads`` shares only the
+evaluations, so results are bitwise identical for any value.
 """
 
 from __future__ import annotations
@@ -301,10 +303,11 @@ def _cell_chunk(scn: PowerScenario, n: int, test: str, count: int,
         p, cause = vstest._p_value_rows(fam, X, seeds, TestOptions(
             delta=scn.delta, extend=scn.extend, relax=scn.relax,
             simulate_p_value=_SIMULATE_FLAGS[scn.simulate], B=scn.B,
-            fixed_params=scn.null_params), threads=threads)
+            fixed_params=scn.null_params), threads=threads, alpha=scn.alpha)
     else:
         p, cause = edf._p_value_rows(fam, fam.validate_params(scn.null_params),
-                                     test, X, seeds, scn.B, threads=threads)
+                                     test, X, seeds, scn.B, threads=threads,
+                                     alpha=scn.alpha)
     return int((p <= scn.alpha).sum()), int(np.count_nonzero(cause))
 
 

@@ -452,7 +452,8 @@ def monte_carlo_p_value(observed: float, family: str, params, n: int, *,
 
 
 def _p_value_rows(fam, X: np.ndarray, seeds: np.ndarray, opts: TestOptions,
-                  *, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+                  *, threads: int = 1, alpha: float | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """The p-value of :func:`vs_test` on every row of X at once, row i with
     seed ``seeds[i]``, and the cause of each row.
 
@@ -460,7 +461,10 @@ def _p_value_rows(fam, X: np.ndarray, seeds: np.ndarray, opts: TestOptions,
     ``VsgofError``: a cause of :func:`_rows`, or every null replicate
     discarded.  The null replicates of all rows run through one
     ``vsgof._mc.null_map`` on ``threads`` threads, each row's drawn as
-    ``vs_test`` draws them.  X is not changed.
+    ``vs_test`` draws them.  With an ``alpha`` that simulation is
+    curtailed: a row stops once its p-value can only exceed alpha, so the
+    p-value is exact wherever it is <= alpha, and elsewhere a lower bound
+    above alpha.  X is not changed.
     """
     n = X.shape[1]
     params = (None if opts.fixed_params is None
@@ -475,18 +479,30 @@ def _p_value_rows(fam, X: np.ndarray, seeds: np.ndarray, opts: TestOptions,
     if _resolve_p_method(opts, n) == "asymptotic":
         p_values[rows] = _asymptotic_rows(stat, m_hat[rows], n)
         return p_values, cause
-    stats, ok = null_map(
-        fam.sample, P[rows] if params is None else [params] * rows.size,
-        n, opts.B, seeds[rows],
-        # (stat, ok): m_hat is not stacked
-        lambda X: _rows(fam, X, params, ms, opts.relax, True)[:3:2],
-        threads=threads, budget=_budget(ms))
+    above, kept = np.zeros((2, rows.size), dtype=np.int64)
+
+    def settle(owner, stats, ok):
+        # each row's kept null statistics and those strictly above its
+        # observed one; with k of them above, p >= k / B, so a row is
+        # settled once k / B fails the table's own test p <= alpha
+        above[:] += np.bincount(owner[ok & (stats > stat[owner])],
+                                minlength=rows.size)
+        kept[:] += np.bincount(owner[ok], minlength=rows.size)
+        return None if alpha is None else ~(above / opts.B <= alpha)
+
+    job = (fam.sample, P[rows] if params is None else [params] * rows.size,
+           n, opts.B, seeds[rows],
+           # (stat, ok): m_hat is not stacked
+           lambda X: _rows(fam, X, params, ms, opts.relax, True)[:3:2])
+    if alpha is None:
+        settle(np.repeat(np.arange(rows.size), opts.B),
+               *null_map(*job, threads=threads, budget=_budget(ms)))
+    else:
+        null_map(*job, threads=threads, budget=_budget(ms), settle=settle)
     # the share of each row's kept null statistics strictly above its
     # observed one; NaN (0 / 0) where every null replicate was discarded
-    stats, ok = stats.reshape(-1, opts.B), ok.reshape(-1, opts.B)
-    kept = ok.sum(1)
     with np.errstate(invalid="ignore"):
-        p_values[rows] = (ok & (stats > stat[:, None])).sum(1) / kept
+        p_values[rows] = above / kept
     cause[rows[kept == 0]] = DISCARDED
     return p_values, cause
 

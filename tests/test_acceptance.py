@@ -13,6 +13,7 @@ sizes each) run once as module fixtures; together they take tens of
 seconds on a few threads.
 """
 
+import hashlib
 import math
 import time
 from pathlib import Path
@@ -66,6 +67,16 @@ def weibull_study():
     scn = parse_scenario_file(SCENARIO_DIR / "exponential-vs-weibull.scenario")
     table = run_power_study(scn, threads=THREADS)
     return table
+
+
+def test_shipped_tables_are_pinned(pareto_study, weibull_study):
+    # SHA-1 of to_csv(), recorded with every replicate's null simulated in
+    # full: the curtailed cells, which stop a replicate's null once p >
+    # alpha is certain, must leave both tables as they were
+    digests = [hashlib.sha1(table.to_csv().encode()).hexdigest()
+               for table in (pareto_study[0], weibull_study)]
+    assert digests == ["4381a35517a62c7d09c4c992ef7a5ecb5a9a1f91",
+                       "352f153c3d523b5134ec482a8d98377e90f81dc4"]
 
 
 def test_criterion_01_pareto_power_reproduction(pareto_study):

@@ -439,6 +439,64 @@ def test_only_jobs_of_several_seeds_below_2_64_hash_at_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# curtailed null simulations
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("budget", [13 * 30, 13 * 120, 13 * 500])
+def test_a_settled_replicate_draws_no_later_row(fresh_pools, budget,
+                                                threads):
+    # seven replicates of B = 500 (chunks of 256 and 244 rows), which the
+    # settle of the test settles once they have 1, 60, 256, 257, 400 and
+    # 500 rows, and never; gamma draws take a varying number of generator
+    # values, so a tile drawn out of order would move every later bit.
+    # Replicate r draws gamma(2 + r, 1), so that each draw names its own.
+    fam = resolve_family("gamma")
+    n, B, stop = 13, 500, [1, 60, 256, 257, 400, 500, 501]
+    params = [fam.validate_params((2.0 + r, 1.0)) for r in range(7)]
+    seeds = list(range(40, 47))
+    draws, seen, rows, settled = [], [], [[] for _ in params], {}
+
+    def draw(p, size, rng):
+        draws.append((int(p[0]) - 2, size[0]))
+        return fam.sample(p, size, rng)
+
+    def evaluate(X):
+        seen.append(X.size)
+        return (X,)
+
+    def settle(owner, X):
+        for r in np.unique(owner):
+            assert r not in settled  # nor is it evaluated
+            rows[r].append(X[owner == r])
+        done = np.array([sum(map(len, got)) >= s
+                         for got, s in zip(rows, stop)])
+        settled.update((r, len(draws)) for r in np.flatnonzero(done)
+                       if r not in settled)
+        return done
+
+    assert vsgof._mc.null_map(draw, params, n, B, seeds, evaluate,
+                              threads=threads, budget=budget,
+                              settle=settle) is None
+    full, = vsgof._mc.null_map(fam.sample, params, n, B, seeds,
+                               lambda X: (X,))
+    full = full.reshape(7, B, n)
+    assert max(seen) <= budget
+    for r, got in enumerate(rows):
+        got = np.concatenate(got)
+        drawn = [size for who, size in draws if who == r]
+        # each replicate's rows are the first of its full null, bit for
+        # bit, drawn in tiles that never cross the chunk boundary
+        assert got.tobytes() == full[r, :len(got)].tobytes()
+        assert sum(drawn) == len(got) >= min(stop[r], B)
+        assert len(got) <= 256 or 256 in np.cumsum(drawn)
+        if r in settled:
+            assert all(who != r for who, _ in draws[settled[r]:])
+    assert sorted(settled) == list(range(6))
+    assert [len(np.concatenate(got)) for got in rows][-2:] == [B, B]
+
+
+# ---------------------------------------------------------------------------
 # the kept thread pools
 
 

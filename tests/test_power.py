@@ -503,6 +503,29 @@ ORACLE_SCENARIOS = {
     "ad-B300": dict(tests=("ad",), null_family="dpareto",
                     null_params=(1.0, 1.0), alt_family="dpareto",
                     alt_params=(0.005, 1.0), n_values=(10,), B=300),
+    # curtailed cells, whose replicates stop their null once p > alpha is
+    # certain; the shifted exponential puts a few values below 0, errors
+    # on the dexp and dgamma nulls.  A composite vs cell, whose null rows
+    # draw from each replicate's fitted parameters
+    "vs-composite": dict(tests=("vs",), null_family="dgamma",
+                         alt_family="dexp", alt_params=(1.0,),
+                         alt_shift=-0.01, n_values=(12, 20), B=300),
+    # B = 500: stops in chunk 0 and inside chunk 1
+    "vs-B500": dict(tests=("vs",), null_family="dexp", null_params=(1.0,),
+                    alt_family="dexp", alt_params=(1.0,), alt_shift=-0.005,
+                    n_values=(60,), B=500),
+    # alpha * B = 10 exactly: replicates end at k = 10 (p = alpha, a
+    # rejection) and at k = 11
+    "ks-alpha-integral": dict(tests=("ks",), null_family="dexp",
+                              null_params=(1.0,), alt_family="dexp",
+                              alt_params=(1.0,), alt_shift=-0.01,
+                              n_values=(20,), B=200, seed=10),
+    # alpha * B = 28.999999999999996 in floats, yet 29 / 100 == alpha:
+    # replicates end at k = 29, rejections that k > alpha * B would stop
+    "ad-alpha-inexact": dict(tests=("ad",), null_family="dexp",
+                             null_params=(1.0,), alt_family="dexp",
+                             alt_params=(1.0,), alt_shift=-0.01,
+                             n_values=(20,), B=100, alpha=0.29, seed=16),
 }
 
 
@@ -549,6 +572,84 @@ def test_power_cells_match_one_call_per_replicate(case):
             scn, n, test, cell_seed)
         total_errors += row.errors
     assert total_errors > 0
+
+
+# the exact p-values a curtailed cell must decide alike: (p, k) pairs
+# that some replicate of the case ends with, k of B null statistics
+# reaching its observed one
+CURTAILED_BOUNDARIES = {"vs-composite": [], "vs-B500": [],
+                        "ks-alpha-integral": [(0.05, 10), (0.055, 11)],
+                        "ad-alpha-inexact": [(0.29, 29)]}
+
+
+def _recording_curtailment(monkeypatch):
+    """The rows each replicate of the cells' null_map jobs drew before it
+    was settled, and the (exact, curtailed) p-values of their
+    ``_p_value_rows`` calls, the exact ones from a full run of the same
+    rows."""
+    stops, p_values = [], []
+    for module in (vstest, edf):
+        null_map, p_value_rows = module.null_map, module._p_value_rows
+
+        def recording_null_map(*args, settle=None, null_map=null_map,
+                               **kwargs):
+            if settle is None:  # the full run
+                return null_map(*args, **kwargs)
+            drawn, stops_of = np.zeros(len(args[4]), dtype=int), []
+
+            def recording_settle(owner, *arrays):
+                drawn[:] += np.bincount(owner, minlength=drawn.size)
+                done = settle(owner, *arrays)
+                # a settled replicate draws no later row
+                assert set(owner.tolist()).isdisjoint(
+                    r for r, _ in stops_of)
+                stops_of.extend((r, drawn[r]) for r in np.flatnonzero(done))
+                return done
+
+            null_map(*args, settle=recording_settle, **kwargs)
+            stops.extend(rows for _, rows in stops_of)
+
+        def recording_p_value_rows(*args, alpha, p_value_rows=p_value_rows,
+                                   **kwargs):
+            p, cause = p_value_rows(*args, alpha=alpha, **kwargs)
+            exact, exact_cause = p_value_rows(*args, **kwargs)
+            assert cause.tolist() == exact_cause.tolist()
+            assert alpha is not None
+            p_values.append((exact, p))
+            return p, cause
+
+        monkeypatch.setattr(module, "null_map", recording_null_map)
+        monkeypatch.setattr(module, "_p_value_rows", recording_p_value_rows)
+    return stops, p_values
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("case", sorted(CURTAILED_BOUNDARIES))
+def test_curtailed_cells_decide_as_one_call_per_replicate(monkeypatch, case,
+                                                          threads):
+    stops, p_values = _recording_curtailment(monkeypatch)
+    scn = PowerScenario(**{**dict(name=f"curtailed-{case}", replicates=60,
+                                  B=60, seed=8), **ORACLE_SCENARIOS[case]})
+    test, = scn.tests
+    table = run_power_study(scn, threads=threads)
+    cell_seeds = np.random.SeedSequence(scn.seed).spawn(len(scn.n_values))
+    for n, cell_seed in zip(scn.n_values, cell_seeds):
+        row = table.row(n, test)
+        assert (row.rejections, row.errors) == _one_call_per_replicate(
+            scn, n, test, cell_seed)
+    # the p-value of a curtailed row is exact up to alpha, and above it
+    # where the exact one is
+    exact, curtailed = (np.concatenate(p) for p in zip(*p_values))
+    decided = exact <= scn.alpha
+    assert curtailed[decided].tolist() == exact[decided].tolist()
+    assert (curtailed[~decided & ~np.isnan(exact)] > scn.alpha).all()
+    assert np.isnan(curtailed).tolist() == np.isnan(exact).tolist()
+    # some replicates stopped early; at B = 500 in both chunks
+    assert stops and min(stops) < scn.B
+    if scn.B == 500:
+        assert min(stops) <= 256 < max(s for s in stops if s < 500)
+    for p, k in CURTAILED_BOUNDARIES[case]:
+        assert p == k / scn.B and (exact == p).any()
 
 
 @pytest.mark.parametrize("test, module", [("vs", vstest), ("ks", edf)])
